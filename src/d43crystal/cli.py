@@ -110,6 +110,20 @@ def cmd_check_perfect(args):
     return 0 if ok else 1
 
 
+def _sample_count(text):
+    """--samples: how many of the default Yang-Baxter points to check."""
+    from . import rmatrix as rm
+    limit = len(rm.default_ybe_samples())
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if not 1 <= n <= limit:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer from 1 to {limit}")
+    return n
+
+
 def _verify_rmatrix(args):
     from . import fundrep as fr
     from . import rmatrix as rm
@@ -228,7 +242,8 @@ def build_parser():
     vsub = sp.add_subparsers(dest="suite", required=True)
     vp = vsub.add_parser("rmatrix")
     vp.add_argument("--symbolic-ybe", action="store_true")
-    vp.add_argument("--samples", type=int, default=20)
+    vp.add_argument("--samples", type=_sample_count, default=20,
+                    help="how many default Yang-Baxter points to check")
     vp.set_defaults(func=cmd_verify)
     vp = vsub.add_parser("appendix")
     vp.add_argument("--lmax", type=int, default=4)

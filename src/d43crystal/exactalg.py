@@ -2,8 +2,13 @@
 polynomials in spectral variables, and dense linear algebra over them.
 
 Integer polynomials in q are plain tuples of ints, low degree first, with
-no trailing zeros; () is the zero polynomial.  All arithmetic is exact;
-no floating point appears anywhere in this package.
+no trailing zeros; () is the zero polynomial.  The polynomial kernel is
+fraction-free: p_gcd splits off the common power of q and runs a primitive
+remainder sequence over Z, and p_divexact is integer long division that
+raises as soon as a quotient coefficient is not an integer.  QRat keeps
+every value as a reduced fraction of two such polynomials; the product,
+sum or difference of two values with denominator 1 needs no gcd.  All
+arithmetic is exact; no floating point appears anywhere in this package.
 """
 
 from fractions import Fraction
@@ -60,10 +65,7 @@ def p_scale(a, n):
 
 
 def p_content(a):
-    g = 0
-    for c in a:
-        g = int_gcd(g, c)
-    return g
+    return int_gcd(*a)
 
 
 def p_primitive(a):
@@ -73,7 +75,9 @@ def p_primitive(a):
     g = p_content(a)
     if a[-1] < 0:
         g = -g
-    return tuple(c // g for c in a)
+    if g == 1:
+        return tuple(a)
+    return tuple([c // g for c in a])
 
 
 def p_eval(a, x):
@@ -84,59 +88,84 @@ def p_eval(a, x):
     return acc
 
 
+def _prem(a, b):
+    """A constant multiple of the pseudo-remainder of a by b, as a trimmed
+    list; each step scales by lead(b)/g and subtracts lead(r)/g, where g is
+    the gcd of the two leading coefficients."""
+    r = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    tail = b[:-1]
+    while len(r) > db:
+        lr = r.pop()
+        g = int_gcd(lr, lb)
+        m, s = lb // g, lr // g
+        if m != 1:
+            r = [c * m for c in r]
+        k = len(r) - db
+        for i, c in enumerate(tail):
+            r[k + i] -= s * c
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
 def p_gcd(a, b):
-    """gcd in Z[q], primitive with positive leading coefficient."""
+    """gcd in Z[q], primitive with positive leading coefficient.
+
+    The common power of q is split off first; the q-free parts then run a
+    primitive polynomial remainder sequence over Z (Collins 1967, Brown
+    1971), which takes the primitive part of every pseudo-remainder."""
     if not a:
         return p_primitive(b)
     if not b:
         return p_primitive(a)
-    # monic Euclid over Q, then take the primitive part
-    fa = [Fraction(c) for c in a]
-    fb = [Fraction(c) for c in b]
-    while fb:
-        if len(fa) < len(fb):
-            fa, fb = fb, fa
-            continue
-        # fa -= (lead fa / lead fb) q^(deg difference) * fb
-        while len(fa) >= len(fb) and fa:
-            k = len(fa) - len(fb)
-            m = fa[-1] / fb[-1]
-            for i, c in enumerate(fb):
-                fa[i + k] -= m * c
-            while fa and fa[-1] == 0:
-                fa.pop()
-        fa, fb = fb, fa
-    # fa is the gcd over Q; clear denominators
-    den = 1
-    for c in fa:
-        den = den * c.denominator // int_gcd(den, c.denominator)
-    return p_primitive([int(c * den) for c in fa])
+    if len(a) == 1 or len(b) == 1:
+        return P_ONE
+    va = vb = 0
+    while not a[va]:
+        va += 1
+    while not b[vb]:
+        vb += 1
+    shift = (0,) * min(va, vb)
+    a = p_primitive(a[va:])
+    b = p_primitive(b[vb:])
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _prem(a, b)
+        if not r:
+            return shift + b
+        a, b = b, p_primitive(r)
+    return shift + P_ONE
 
 
 def p_divexact(a, b):
-    """Exact division in Z[q]; raises if not divisible."""
+    """Exact division in Z[q]; raises ArithmeticError unless b divides a
+    with an integer quotient."""
     if not a:
         return P_ZERO
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    fa = [Fraction(c) for c in a]
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
-    while fa:
-        if len(fa) < len(b):
+    if b == P_ONE:
+        return tuple(a)
+    r = list(a)
+    db = len(b) - 1
+    if len(r) <= db:
+        raise ArithmeticError("inexact polynomial division")
+    lb = b[-1]
+    out = [0] * (len(r) - db)
+    for k in range(len(out) - 1, -1, -1):
+        c, rem = divmod(r[k + db], lb)
+        if rem:
             raise ArithmeticError("inexact polynomial division")
-        k = len(fa) - len(b)
-        m = fa[-1] / Fraction(b[-1])
-        out[k] = m
-        for i, c in enumerate(b):
-            fa[i + k] -= m * c
-        while fa and fa[-1] == 0:
-            fa.pop()
-    res = []
-    for c in out:
-        if c.denominator != 1:
-            raise ArithmeticError("inexact polynomial division")
-        res.append(int(c))
-    return p_trim(res)
+        if c:
+            out[k] = c
+            for i in range(db):
+                r[k + i] -= c * b[i]
+    if any(r[:db]):
+        raise ArithmeticError("inexact polynomial division")
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +210,8 @@ class QRat:
 
     def __add__(self, other):
         if self.den == other.den:
+            if self.den == P_ONE:
+                return QRat(p_add(self.num, other.num), P_ONE, _reduced=True)
             return QRat(p_add(self.num, other.num), self.den)
         return QRat(
             p_add(p_mul(self.num, other.den), p_mul(other.num, self.den)),
@@ -189,6 +220,8 @@ class QRat:
 
     def __sub__(self, other):
         if self.den == other.den:
+            if self.den == P_ONE:
+                return QRat(p_sub(self.num, other.num), P_ONE, _reduced=True)
             return QRat(p_sub(self.num, other.num), self.den)
         return QRat(
             p_sub(p_mul(self.num, other.den), p_mul(other.num, self.den)),
@@ -201,6 +234,8 @@ class QRat:
     def __mul__(self, other):
         if not self.num or not other.num:
             return QR_ZERO
+        if self.den == P_ONE and other.den == P_ONE:
+            return QRat(p_mul(self.num, other.num), P_ONE, _reduced=True)
         # cross-reduce before multiplying to keep degrees low; the primitive
         # parts end up coprime but the integer content still needs clearing
         g1 = p_gcd(self.num, other.den)
@@ -246,16 +281,6 @@ class QRat:
             num = (0,) * (dd - dn) + num
         return QRat(num, den)
 
-    def is_kz(self):
-        """True if the value lies in Z[q,1/q] localized at g(0)=1 denominators
-        (i.e. denominator is a unit times a power of q)."""
-        den = self.den
-        v = 0
-        while v < len(den) and den[v] == 0:
-            v += 1
-        stripped = den[v:]
-        return stripped == (1,)
-
     def __repr__(self):
         return f"QRat({self.num!r}, {self.den!r})"
 
@@ -299,11 +324,6 @@ def _qr_reduce(num, den):
 
 QR_ZERO = QRat(0)
 QR_ONE = QRat(1)
-QR_Q = QRat((0, 1))
-
-
-def qrat(n, d=1):
-    return QRat(n, d)
 
 
 # quantum integers; node indices 0,1 use q, node 2 uses q^3
@@ -466,11 +486,6 @@ def lp2_const(c):
     return Laurent.const(2, c)
 
 
-def lp2_z(k=1):
-    """(x/y)^k as an LPoly2."""
-    return Laurent.mono((k, -k))
-
-
 def lp2_poly_z(coeffs):
     """Polynomial in z = x/y with QRat (or int) coefficients, low degree first."""
     t = {}
@@ -480,10 +495,6 @@ def lp2_poly_z(coeffs):
         if c:
             t[(k, -k)] = c
     return Laurent(2, t)
-
-
-LP2_ZERO = Laurent(2)
-LP2_ONE = lp2_const(1)
 
 
 # ---------------------------------------------------------------------------

@@ -585,10 +585,14 @@ def default_ybe_samples():
 
 
 def verify_yang_baxter(R=None, samples=None):
-    if R is None:
-        R = build_R()
+    """Sampled Yang-Baxter check; an empty sample list is a failure, since
+    it checks nothing."""
     if samples is None:
         samples = default_ybe_samples()
+    if not samples:
+        return {"status": "fail", "samples": 0}
+    if R is None:
+        R = build_R()
     for (qval, xv, yv, zv) in samples:
         bad = yang_baxter_residual(R, qval, xv, yv, zv)
         if bad:

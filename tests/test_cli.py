@@ -143,3 +143,20 @@ def test_jobs_flag(capsys):
                            "--lmax", "2")
     assert code == 0
     assert json.loads(out)["status"] == "pass"
+
+
+@pytest.mark.parametrize("samples", ["0", "-5", "21", "x"])
+def test_verify_rmatrix_rejects_sample_count(capsys, samples):
+    code, out, err = run_cli(capsys, "verify", "rmatrix", "--samples", samples)
+    assert code == 2
+    assert out == ""
+    assert "--samples" in err
+
+
+def test_verify_rmatrix_one_sample(capsys):
+    code, out, _ = run_cli(capsys, "verify", "rmatrix", "--samples", "1")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["status"] == "pass"
+    assert doc["checks"]["yang_baxter_sampled"] is True
+    assert all(doc["checks"].values())

@@ -1,18 +1,137 @@
 """Field axioms and canonical-form invariants of the exact arithmetic layer."""
 
 from fractions import Fraction
+from math import gcd as int_gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from d43crystal.exactalg import (
-    Laurent, QRat, QR_ONE, QR_ZERO, lp2_poly_z, p_divexact, p_gcd, p_mul,
-    p_trim, q_factorial, q_int, q_power, solve_linear,
+    Laurent, P_ZERO, QRat, QR_ONE, QR_ZERO, lp2_poly_z, p_add, p_content,
+    p_divexact, p_gcd, p_mul, p_neg, p_primitive, p_trim, q_factorial, q_int,
+    q_power, solve_linear,
 )
 
 small_poly = st.lists(st.integers(-9, 9), min_size=0, max_size=5).map(p_trim)
 nonzero_poly = small_poly.filter(lambda p: bool(p))
+
+
+# ---------------------------------------------------------------------------
+# reference kernel: Euclid over Fraction, the differential oracle for the
+# integer-only p_gcd and p_divexact
+
+
+def fraction_gcd(a, b):
+    """gcd in Z[q], primitive with positive leading coefficient."""
+    if not a:
+        return p_primitive(b)
+    if not b:
+        return p_primitive(a)
+    # monic Euclid over Q, then take the primitive part
+    fa = [Fraction(c) for c in a]
+    fb = [Fraction(c) for c in b]
+    while fb:
+        if len(fa) < len(fb):
+            fa, fb = fb, fa
+            continue
+        # fa -= (lead fa / lead fb) q^(deg difference) * fb
+        while len(fa) >= len(fb) and fa:
+            k = len(fa) - len(fb)
+            m = fa[-1] / fb[-1]
+            for i, c in enumerate(fb):
+                fa[i + k] -= m * c
+            while fa and fa[-1] == 0:
+                fa.pop()
+        fa, fb = fb, fa
+    # fa is the gcd over Q; clear denominators
+    den = 1
+    for c in fa:
+        den = den * c.denominator // int_gcd(den, c.denominator)
+    return p_primitive([int(c * den) for c in fa])
+
+
+def fraction_divexact(a, b):
+    """Exact division in Z[q]; raises if not divisible."""
+    if not a:
+        return P_ZERO
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    fa = [Fraction(c) for c in a]
+    out = [Fraction(0)] * (len(a) - len(b) + 1)
+    while fa:
+        if len(fa) < len(b):
+            raise ArithmeticError("inexact polynomial division")
+        k = len(fa) - len(b)
+        m = fa[-1] / Fraction(b[-1])
+        out[k] = m
+        for i, c in enumerate(b):
+            fa[i + k] -= m * c
+        while fa and fa[-1] == 0:
+            fa.pop()
+    res = []
+    for c in out:
+        if c.denominator != 1:
+            raise ArithmeticError("inexact polynomial division")
+        res.append(int(c))
+    return p_trim(res)
+
+
+def reference_reduce(num, den):
+    """Canonical (num, den) of num/den computed with the reference kernel."""
+    if not num:
+        return (), (1,)
+    g = fraction_gcd(num, den)
+    num, den = fraction_divexact(num, g), fraction_divexact(den, g)
+    c = int_gcd(p_content(num), p_content(den))
+    num = tuple(v // c for v in num)
+    den = tuple(v // c for v in den)
+    if den[-1] < 0:
+        num, den = p_neg(num), p_neg(den)
+    return num, den
+
+
+def polys(max_deg, bound):
+    return st.lists(st.integers(-bound, bound), min_size=1,
+                    max_size=max_deg + 1).map(p_trim).filter(bool)
+
+
+@st.composite
+def shared_factor(draw):
+    """q^k times an integer content times a polynomial whose leading
+    coefficient may be negative."""
+    k = draw(st.integers(0, 3))
+    content = draw(st.integers(1, 60)) * draw(st.sampled_from([1, -1]))
+    return (0,) * k + p_mul((content,), draw(polys(4, 50)))
+
+
+@st.composite
+def q_shifted(draw, max_deg, bound):
+    return (0,) * draw(st.integers(0, 3)) + draw(polys(max_deg, bound))
+
+
+# factors of the R-matrix denominators and a few more, so that random
+# fractions share factors across products and sums
+FACTORS = [(0, 1), (2,), (-3,), (1, 0, 1), (1, 0, 0, 0, -1), (1, 1, 1),
+           (-1, 2), (1, 0, 1, 0, 1)]
+
+
+@st.composite
+def factored_poly(draw):
+    p = draw(polys(3, 9))
+    for f in draw(st.lists(st.sampled_from(FACTORS), max_size=3)):
+        p = p_mul(p, f)
+    return p
+
+
+@st.composite
+def fractions_in_q(draw):
+    """An unreduced (num, den) pair; den is 1 a quarter of the time, so the
+    denominator-1 paths of QRat are exercised too."""
+    num = draw(st.one_of(st.just(()), factored_poly()))
+    den = draw(st.one_of(st.just((1,)), factored_poly(), factored_poly(),
+                         factored_poly()))
+    return num, den
 
 
 @st.composite
@@ -120,3 +239,58 @@ def test_solve_linear_inconsistent_and_kernel():
     # particular + kernel vector still solves the system
     x = [p + k for p, k in zip(sol.particular, sol.kernel[0])]
     assert x[0] + x[1] == one
+
+
+@given(shared_factor(), q_shifted(8, 10**6), q_shifted(8, 10**6))
+@settings(max_examples=300, deadline=None)
+def test_gcd_matches_reference_on_shared_factor(c, a, b):
+    a, b = p_mul(c, a), p_mul(c, b)
+    g = p_gcd(a, b)
+    assert g == fraction_gcd(a, b)
+    assert p_divexact(a, g) == fraction_divexact(a, g)
+    assert p_divexact(b, g) == fraction_divexact(b, g)
+
+
+@given(q_shifted(12, 10**6), q_shifted(12, 10**6))
+@settings(max_examples=200, deadline=None)
+def test_gcd_matches_reference_on_large_polys(a, b):
+    assert p_gcd(a, b) == fraction_gcd(a, b)
+    assert p_gcd(b, ()) == fraction_gcd(b, ()) == fraction_gcd((), b)
+
+
+@given(q_shifted(12, 10**6), shared_factor())
+@settings(max_examples=200, deadline=None)
+def test_divexact_product(a, b):
+    ab = p_mul(a, b)
+    assert p_divexact(ab, b) == fraction_divexact(ab, b) == a
+    assert p_divexact(ab, a) == b
+
+
+@given(fractions_in_q(), fractions_in_q())
+@settings(max_examples=300, deadline=None)
+def test_qrat_canonical_forms_match_reference(x, y):
+    (n1, d1), (n2, d2) = x, y
+    a, b = QRat(n1, d1), QRat(n2, d2)
+    assert (a.num, a.den) == reference_reduce(n1, d1)
+    prod = a * b
+    assert (prod.num, prod.den) == reference_reduce(p_mul(n1, n2),
+                                                    p_mul(d1, d2))
+    total = a + b
+    assert (total.num, total.den) == reference_reduce(
+        p_add(p_mul(n1, d2), p_mul(n2, d1)), p_mul(d1, d2))
+    diff = a - b
+    assert (diff.num, diff.den) == reference_reduce(
+        p_add(p_mul(n1, d2), p_neg(p_mul(n2, d1))), p_mul(d1, d2))
+
+
+@pytest.mark.parametrize("divide", [p_divexact, fraction_divexact])
+def test_divexact_error_contract(divide):
+    with pytest.raises(ArithmeticError):
+        divide((1, 2), (2,))            # quotient not integral
+    with pytest.raises(ArithmeticError):
+        divide((1, 0, 1), (1, 1))       # nonzero remainder
+    with pytest.raises(ArithmeticError):
+        divide((1, 1), (1, 0, 1))       # divisor of higher degree
+    with pytest.raises(ZeroDivisionError):
+        divide((1, 1), ())
+    assert divide((), (1, 1)) == ()

@@ -89,6 +89,10 @@ def test_yang_baxter_sampled(R):
         assert rm.yang_baxter_residual(R, qval, xv, yv, zv) == 0
 
 
+def test_yang_baxter_without_samples_fails(R):
+    assert rm.verify_yang_baxter(R, []) == {"status": "fail", "samples": 0}
+
+
 @pytest.mark.slow
 def test_yang_baxter_symbolic(R):
     assert rm.verify_yang_baxter_symbolic(R)
