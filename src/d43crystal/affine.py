@@ -2,13 +2,13 @@
 0-action, eps_0/phi_0, classical weights and enumeration.
 
 Level contexts:
-  Finite(l)   -- coordinates >= 0 and s(b) <= l,
+  Finite(l)   -- coordinates >= 0 and gsum(b) <= l,
   NONNEG      -- coordinates >= 0, no sum bound,
   FREE        -- any integers with the parity constraint; operators total.
 """
 
 from . import g2crystal as g2
-from .g2crystal import pos
+from .g2crystal import gsum, pos
 
 
 class LevelCtx:
@@ -34,7 +34,7 @@ class LevelCtx:
         if any(v < 0 for v in b):
             return False
         if self.kind == self.FINITE:
-            return s(b) <= self.level
+            return gsum(b) <= self.level
         return True
 
     def __repr__(self):
@@ -45,10 +45,6 @@ class LevelCtx:
 
 NONNEG = LevelCtx(LevelCtx.NONNEG)
 FREE = LevelCtx(LevelCtx.FREE)
-
-
-def s(b):
-    return b[0] + b[1] + (b[2] + b[3]) // 2 + b[4] + b[5]
 
 
 def zvec(b):
@@ -141,7 +137,7 @@ def apply_op(kind, i, b, ctx):
 
 def phi0(b, ctx):
     base = ctx.level if ctx.kind == LevelCtx.FINITE else 0
-    return base - s(b) + max(alist(b))
+    return base - gsum(b) + max(alist(b))
 
 
 def eps0(b, ctx):

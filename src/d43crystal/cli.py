@@ -110,18 +110,26 @@ def cmd_check_perfect(args):
     return 0 if ok else 1
 
 
-def _sample_count(text):
-    """--samples: how many of the default Yang-Baxter points to check."""
-    from . import rmatrix as rm
-    limit = len(rm.default_ybe_samples())
+def _bounded_int(text, low, high=None):
     try:
         n = int(text)
     except ValueError:
-        n = 0
-    if not 1 <= n <= limit:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer from 1 to {limit}")
+        n = None
+    if n is None or n < low or (high is not None and n > high):
+        bound = f"at least {low}" if high is None else f"from {low} to {high}"
+        raise argparse.ArgumentTypeError(f"must be an integer {bound}")
     return n
+
+
+def _at_least(low):
+    """argparse type: an integer >= low, so that no range is empty."""
+    return lambda text: _bounded_int(text, low)
+
+
+def _sample_count(text):
+    """--samples: how many of the default Yang-Baxter points to check."""
+    from . import rmatrix as rm
+    return _bounded_int(text, 1, len(rm.default_ybe_samples()))
 
 
 def _verify_rmatrix(args):
@@ -141,12 +149,13 @@ def _verify_rmatrix(args):
     checks["vacuum_eigenvalue"] = rm.vacuum_eigenvalue(R) == rm.a_2L1()
     checks["phi_nonvanishing"] = rm.phi_nonvanishing()
     checks.update(rm.verify_determinants())
+    checks["R_Rswap_scalar"] = rm.verify_R_Rswap_scalar(R)
     if args.symbolic_ybe:
         checks["yang_baxter_symbolic"] = rm.verify_yang_baxter_symbolic(R)
     else:
-        samples = rm.default_ybe_samples()[: args.samples]
-        checks["yang_baxter_sampled"] = (
-            rm.verify_yang_baxter(R, samples)["status"] == "pass")
+        ybe = rm.verify_yang_baxter(R, rm.default_ybe_samples()[: args.samples])
+        checks["yang_baxter_sampled"] = ybe["status"] == "pass"
+        checks["yang_baxter_samples"] = ybe["samples"]
     return checks
 
 
@@ -195,7 +204,9 @@ def cmd_verify(args):
         _print_json({"schema": SCHEMA, "suite": args.suite,
                      "status": "fail", "error": str(exc)})
         return 1
-    ok = all(v if isinstance(v, bool) else True for v in checks.values())
+    # a false check or a zero count fails: a suite that checked nothing
+    # must not pass
+    ok = bool(checks) and all(checks.values())
     _print_json({"schema": SCHEMA, "suite": args.suite,
                  "status": "pass" if ok else "fail", "checks": checks})
     return 0 if ok else 1
@@ -211,11 +222,11 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("enumerate", help="list the elements of B_l")
-    sp.add_argument("--level", type=int, required=True)
+    sp.add_argument("--level", type=_at_least(0), required=True)
     sp.set_defaults(func=cmd_enumerate)
 
     sp = sub.add_parser("graph", help="export the crystal graph of B_l")
-    sp.add_argument("--level", type=int, required=True)
+    sp.add_argument("--level", type=_at_least(0), required=True)
     sp.add_argument("--format", choices=("dot", "json"), default="dot")
     sp.add_argument("--arrows", default="012",
                     help="arrow colors to include, e.g. 01")
@@ -223,19 +234,20 @@ def build_parser():
 
     sp = sub.add_parser("decompose",
                         help="{0,1}-component inventory of B_l")
-    sp.add_argument("--level", type=int, required=True)
+    sp.add_argument("--level", type=_at_least(0), required=True)
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.set_defaults(func=cmd_decompose)
 
     sp = sub.add_parser("tensor", help="B_l tensor B_l analysis")
-    sp.add_argument("--level", type=int, required=True)
+    sp.add_argument("--level", type=_at_least(0), required=True)
     sp.add_argument("--check-connected", action="store_true")
     sp.set_defaults(func=cmd_tensor)
 
     sp = sub.add_parser("check", help="axiom checks")
     csub = sp.add_subparsers(dest="what", required=True)
     cp = csub.add_parser("perfect", help="perfectness axioms for B_l")
-    cp.add_argument("--level", type=int, required=True)
+    # perfectness is a statement about positive levels
+    cp.add_argument("--level", type=_at_least(1), required=True)
     cp.set_defaults(func=cmd_check_perfect)
 
     sp = sub.add_parser("verify", help="verification suites")
@@ -246,14 +258,15 @@ def build_parser():
                     help="how many default Yang-Baxter points to check")
     vp.set_defaults(func=cmd_verify)
     vp = vsub.add_parser("appendix")
-    vp.add_argument("--lmax", type=int, default=4)
+    vp.add_argument("--lmax", type=_at_least(1), default=4)
     vp.set_defaults(func=cmd_verify)
     vp = vsub.add_parser("lemmas")
-    vp.add_argument("--lmax", type=int, default=4)
+    # at l_max = 1 the onion lemma has no instance
+    vp.add_argument("--lmax", type=_at_least(2), default=4)
     vp.set_defaults(func=cmd_verify)
     vp = vsub.add_parser("coherent")
-    vp.add_argument("--level", type=int, default=4)
-    vp.add_argument("--box", type=int, default=2)
+    vp.add_argument("--level", type=_at_least(1), default=4)
+    vp.add_argument("--box", type=_at_least(0), default=2)
     vp.set_defaults(func=cmd_verify)
     vp = vsub.add_parser("relations")
     vp.set_defaults(func=cmd_verify)

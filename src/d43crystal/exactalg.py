@@ -80,11 +80,12 @@ def p_primitive(a):
     return tuple([c // g for c in a])
 
 
-def p_eval(a, x):
-    """Evaluate at a Fraction/int by Horner."""
-    acc = 0
+def p_eval_hom(a, n, d):
+    """d^deg(a) * a(n/d), an integer: Horner on the homogenized a."""
+    acc, dk = 0, 1
     for c in reversed(a):
-        acc = acc * x + c
+        acc = acc * n + c * dk
+        dk *= d
     return acc
 
 
@@ -261,11 +262,18 @@ class QRat:
         return QRat(self.den, self.num)
 
     def subst_q(self, value):
-        """Evaluate at an exact rational q-value."""
-        den = p_eval(self.den, value)
+        """Evaluate at an exact rational q-value n/d, over the integers."""
+        value = Fraction(value)
+        n, d = value.numerator, value.denominator
+        num = p_eval_hom(self.num, n, d)
+        den = p_eval_hom(self.den, n, d)
         if den == 0:
             raise ZeroDivisionError("denominator vanishes at sample point")
-        return Fraction(p_eval(self.num, value), 1) / den
+        # num(q) / den(q) = num * d^deg(den) / (den * d^deg(num))
+        shift = len(self.den) - len(self.num)
+        if shift >= 0:
+            return Fraction(num * d ** shift, den)
+        return Fraction(num, den * d ** -shift)
 
     def bar(self):
         """The image under q -> 1/q."""

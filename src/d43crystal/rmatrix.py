@@ -8,6 +8,7 @@ only involve the ratio z = x/y.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .exactalg import (
     Laurent, QRat, QR_ZERO, QR_ONE, lp2_poly_z, q_int, q_power, solve_linear,
@@ -408,7 +409,8 @@ def _act_matrix(rep, kind, i, swapped):
 
 
 def _sparse_mul(a_cols, b_cols):
-    """(a . b) as sparse columns: apply b first, then a."""
+    """(a . b) as sparse columns: apply b first, then a.  Entries may be
+    ints, Fractions or Laurents; an entry that cancels to zero is dropped."""
     out = []
     for col in b_cols:
         acc = {}
@@ -509,28 +511,36 @@ def verify_R_Rswap_scalar(R):
 # Yang-Baxter
 
 
-def _eval_R(R, qval, xv, yv):
-    """Dense-enough sparse columns of R at exact rational parameters."""
+def _over_lcm(values):
+    """Fractions -> integers: each value times the positive lcm of all the
+    denominators."""
+    den = lcm(*(v.denominator for v in values.values()))
+    return {k: v.numerator * (den // v.denominator) for k, v in values.items()}
+
+
+def _coeffs_at_q(R, qval):
+    """Each QRat coefficient of R at q = qval, times one common positive
+    integer."""
+    coeffs = {c for col in R.cols for lp in col.values()
+              for c in lp.terms.values()}
+    return _over_lcm({c: c.subst_q(qval) for c in coeffs})
+
+
+def _eval_int(R, at_q, xv, yv):
+    """Sparse integer columns of a positive multiple of R(xv, yv), given
+    at_q = _coeffs_at_q(R, q)."""
+    xv, yv = Fraction(xv), Fraction(yv)
+    exps = {e for col in R.cols for lp in col.values() for e in lp.terms}
+    mono = _over_lcm({e: xv ** e[0] * yv ** e[1] for e in exps})
     cols = []
     for col in R.cols:
         c = {}
         for row, lp in col.items():
-            v = lp.subst(qval, (xv, yv))
+            v = sum(at_q[coeff] * mono[e] for e, coeff in lp.terms.items())
             if v:
                 c[row] = v
         cols.append(c)
     return cols
-
-
-def _side_mul(a, b):
-    out = []
-    for col in b:
-        acc = {}
-        for mid, c in col.items():
-            for row, c2 in a[mid].items():
-                acc[row] = acc.get(row, 0) + c2 * c
-        out.append({r: v for r, v in acc.items() if v})
-    return out
 
 
 def _lift12(cols):
@@ -556,15 +566,20 @@ def _lift23(cols):
 
 
 def yang_baxter_residual(R, qval, xv, yv, zv):
-    """Number of nonzero entries of LHS - RHS at one exact sample."""
-    rxy = _lift12(_eval_R(R, qval, xv, yv))
-    rxz = _lift23(_eval_R(R, qval, xv, zv))
-    ryz = _lift12(_eval_R(R, qval, yv, zv))
-    rxy2 = _lift23(_eval_R(R, qval, xv, yv))
-    rxz2 = _lift12(_eval_R(R, qval, xv, zv))
-    ryz2 = _lift23(_eval_R(R, qval, yv, zv))
-    lhs = _side_mul(ryz, _side_mul(rxz, rxy))
-    rhs = _side_mul(rxy2, _side_mul(rxz2, ryz2))
+    """Number of nonzero entries of LHS - RHS at one exact sample.
+
+    R(x,y), R(x,z) and R(y,z) are each evaluated once and scaled to integer
+    matrices by positive rationals s_xy, s_xz, s_yz.  Each side of the
+    braid relation holds one factor of each pair, so both sides are scaled
+    by the same s_xy * s_xz * s_yz and the nonzero pattern of LHS - RHS is
+    unchanged; the 512-dimensional products then run over Z.
+    """
+    at_q = _coeffs_at_q(R, qval)
+    rxy = _eval_int(R, at_q, xv, yv)
+    rxz = _eval_int(R, at_q, xv, zv)
+    ryz = _eval_int(R, at_q, yv, zv)
+    lhs = _sparse_mul(_lift12(ryz), _sparse_mul(_lift23(rxz), _lift12(rxy)))
+    rhs = _sparse_mul(_lift23(rxy), _sparse_mul(_lift12(rxz), _lift23(ryz)))
     bad = 0
     for cl, cr in zip(lhs, rhs):
         keys = set(cl) | set(cr)
@@ -585,20 +600,21 @@ def default_ybe_samples():
 
 
 def verify_yang_baxter(R=None, samples=None):
-    """Sampled Yang-Baxter check; an empty sample list is a failure, since
-    it checks nothing."""
+    """Sampled Yang-Baxter check.  "samples" counts the points checked; a
+    failure stops at its point.  An empty sample list is a failure, since it
+    checks nothing."""
     if samples is None:
         samples = default_ybe_samples()
     if not samples:
         return {"status": "fail", "samples": 0}
     if R is None:
         R = build_R()
-    for (qval, xv, yv, zv) in samples:
+    for n, (qval, xv, yv, zv) in enumerate(samples, 1):
         bad = yang_baxter_residual(R, qval, xv, yv, zv)
         if bad:
-            return {"status": "fail", "sample": (qval, xv, yv, zv),
-                    "nonzero_entries": bad}
-    return {"status": "pass", "samples": len(samples)}
+            return {"status": "fail", "method": "sampled", "samples": n,
+                    "sample": (qval, xv, yv, zv), "nonzero_entries": bad}
+    return {"status": "pass", "method": "sampled", "samples": len(samples)}
 
 
 # fully symbolic YBE in three spectral variables (slow path)

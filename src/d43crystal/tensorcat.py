@@ -87,9 +87,6 @@ def tensor_crystal(c1, c2):
 # ---------------------------------------------------------------------------
 # shift crystal T_lambda (x) B (x) T_mu; operators act on the middle factor
 
-ALPHA_PAIRING = ((2, -1, 0), (-1, 2, -3), (0, -1, 2))  # <h_i, Lambda_j> rows
-
-
 def pair_h(i, w):
     """<h_i, w> for w in Lambda-coordinates: just the i-th coefficient."""
     return w[i]

@@ -159,4 +159,52 @@ def test_verify_rmatrix_one_sample(capsys):
     doc = json.loads(out)
     assert doc["status"] == "pass"
     assert doc["checks"]["yang_baxter_sampled"] is True
+    assert doc["checks"]["yang_baxter_samples"] == 1
+    assert doc["checks"]["R_Rswap_scalar"] is True
     assert all(doc["checks"].values())
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["verify", "appendix", "--lmax", "0"], "--lmax"),
+    (["verify", "lemmas", "--lmax", "-3"], "--lmax"),
+    (["verify", "lemmas", "--lmax", "1"], "--lmax"),
+    (["verify", "coherent", "--level", "0", "--box", "0"], "--level"),
+    (["verify", "coherent", "--level", "2", "--box", "-1"], "--box"),
+    (["enumerate", "--level", "-1"], "--level"),
+    (["graph", "--level", "-1"], "--level"),
+    (["decompose", "--level", "-2"], "--level"),
+    (["tensor", "--level", "-1"], "--level"),
+    (["check", "perfect", "--level", "0"], "--level"),
+])
+def test_empty_ranges_are_usage_errors(capsys, argv, option):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert option in err
+
+
+def test_smallest_ranges_still_check_something(capsys):
+    code, out, _ = run_cli(capsys, "verify", "appendix", "--lmax", "1")
+    assert code == 0
+    assert json.loads(out)["checks"]["appendix_tuples_checked"] == 27
+    code, out, _ = run_cli(capsys, "verify", "lemmas", "--lmax", "2")
+    assert code == 0
+    assert all(v > 0 for v in json.loads(out)["checks"].values())
+    code, out, _ = run_cli(capsys, "verify", "coherent", "--level", "1",
+                           "--box", "0")
+    assert code == 0
+    assert json.loads(out)["status"] == "pass"
+    code, out, _ = run_cli(capsys, "enumerate", "--level", "0")
+    assert code == 0
+    assert out == "0,0,0,0,0,0 phi\n"
+
+
+@pytest.mark.parametrize("suite,patch", [
+    ("appendix", ("verify_appendix", lambda lmax: 0)),
+    ("lemmas", ("verify_lemmas", lambda lmax: {"onion": 3, "comm": 0})),
+])
+def test_zero_count_is_a_failure(capsys, monkeypatch, suite, patch):
+    monkeypatch.setattr(cli.a2, *patch)
+    code, out, _ = run_cli(capsys, "verify", suite)
+    assert code == 1
+    assert json.loads(out)["status"] == "fail"

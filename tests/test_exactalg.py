@@ -77,6 +77,21 @@ def fraction_divexact(a, b):
     return p_trim(res)
 
 
+def fraction_subst_q(a, value):
+    """a at q = value by Horner over Fraction: the oracle for the integer
+    evaluation in QRat.subst_q."""
+    def p_eval(p, x):
+        acc = 0
+        for c in reversed(p):
+            acc = acc * x + c
+        return acc
+
+    den = p_eval(a.den, value)
+    if den == 0:
+        raise ZeroDivisionError("denominator vanishes at sample point")
+    return Fraction(p_eval(a.num, value), 1) / den
+
+
 def reference_reduce(num, den):
     """Canonical (num, den) of num/den computed with the reference kernel."""
     if not num:
@@ -294,3 +309,20 @@ def test_divexact_error_contract(divide):
     with pytest.raises(ZeroDivisionError):
         divide((1, 1), ())
     assert divide((), (1, 1)) == ()
+
+
+@given(fractions_in_q(),
+       st.fractions(min_value=-5, max_value=5, max_denominator=12)
+       | st.integers(-4, 4))
+@settings(max_examples=300, deadline=None)
+def test_subst_q_matches_reference(x, qv):
+    a = QRat(*x)
+    try:
+        want = fraction_subst_q(a, Fraction(qv))
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            a.subst_q(qv)
+        return
+    got = a.subst_q(qv)
+    assert isinstance(got, Fraction)
+    assert got == want

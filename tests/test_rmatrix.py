@@ -8,6 +8,17 @@ from d43crystal import rmatrix as rm
 from d43crystal import fundrep as fr
 from d43crystal.exactalg import QRat, Laurent
 
+YBE_POINTS = [
+    (Fraction(2), Fraction(3), Fraction(5), Fraction(7)),
+    (Fraction(1, 2), Fraction(2), Fraction(3, 2), Fraction(5, 3)),
+    (Fraction(-3), Fraction(1, 3), Fraction(4), Fraction(7, 2)),
+]
+# negative and fractional q, with negative and fractional spectral values
+YBE_SIGNED_POINTS = [
+    (Fraction(-3, 2), Fraction(2, 3), Fraction(-5), Fraction(7, 4)),
+    (Fraction(-2, 5), Fraction(-1, 3), Fraction(3, 2), Fraction(-9, 7)),
+]
+
 
 @pytest.fixture(scope="module")
 def rep():
@@ -80,13 +91,110 @@ def test_coefficient_normalizations():
 
 
 def test_yang_baxter_sampled(R):
-    samples = [
-        (Fraction(2), Fraction(3), Fraction(5), Fraction(7)),
-        (Fraction(1, 2), Fraction(2), Fraction(3, 2), Fraction(5, 3)),
-        (Fraction(-3), Fraction(1, 3), Fraction(4), Fraction(7, 2)),
-    ]
-    for qval, xv, yv, zv in samples:
+    for qval, xv, yv, zv in YBE_POINTS:
         assert rm.yang_baxter_residual(R, qval, xv, yv, zv) == 0
+
+
+# ---------------------------------------------------------------------------
+# the Fraction Yang-Baxter residual, kept as a test-only oracle for the
+# integer residual in rmatrix
+
+
+def fraction_eval_R(R, qval, xv, yv):
+    """Dense-enough sparse columns of R at exact rational parameters."""
+    cols = []
+    for col in R.cols:
+        c = {}
+        for row, lp in col.items():
+            v = lp.subst(qval, (xv, yv))
+            if v:
+                c[row] = v
+        cols.append(c)
+    return cols
+
+
+def fraction_side_mul(a, b):
+    out = []
+    for col in b:
+        acc = {}
+        for mid, c in col.items():
+            for row, c2 in a[mid].items():
+                acc[row] = acc.get(row, 0) + c2 * c
+        out.append({r: v for r, v in acc.items() if v})
+    return out
+
+
+def fraction_yang_baxter_residual(R, qval, xv, yv, zv):
+    """Number of nonzero entries of LHS - RHS at one exact sample."""
+    rxy = rm._lift12(fraction_eval_R(R, qval, xv, yv))
+    rxz = rm._lift23(fraction_eval_R(R, qval, xv, zv))
+    ryz = rm._lift12(fraction_eval_R(R, qval, yv, zv))
+    rxy2 = rm._lift23(fraction_eval_R(R, qval, xv, yv))
+    rxz2 = rm._lift12(fraction_eval_R(R, qval, xv, zv))
+    ryz2 = rm._lift23(fraction_eval_R(R, qval, yv, zv))
+    lhs = fraction_side_mul(ryz, fraction_side_mul(rxz, rxy))
+    rhs = fraction_side_mul(rxy2, fraction_side_mul(rxz2, ryz2))
+    bad = 0
+    for cl, cr in zip(lhs, rhs):
+        keys = set(cl) | set(cr)
+        for kk in keys:
+            if cl.get(kk, 0) != cr.get(kk, 0):
+                bad += 1
+    return bad
+
+
+@pytest.mark.parametrize("point", YBE_POINTS + YBE_SIGNED_POINTS)
+def test_yang_baxter_residual_matches_fraction_oracle(R, point):
+    got = rm.yang_baxter_residual(R, *point)
+    assert isinstance(got, int)
+    assert got == fraction_yang_baxter_residual(R, *point) == 0
+
+
+def _perturbed(R, col, row, add=None):
+    """R with entry (row, col) increased by add, or deleted if add is None."""
+    cols = [dict(c) for c in R.cols]
+    if add is None:
+        del cols[col][row]
+    else:
+        cols[col][row] = cols[col][row] + add
+    return rm.RMatrix(cols)
+
+
+@pytest.mark.parametrize("col,row,add", [
+    # (q / (1 + q^2)) z added to a diagonal entry
+    (9, 9, Laurent.mono((1, -1), QRat((0, 1), (1, 0, 1)))),
+    # a deleted entry: here the RHS has nonzero entries where the LHS has
+    # none, and the LHS where the RHS has none
+    (3, 10, None),
+])
+def test_perturbed_yang_baxter_residual_matches_fraction_oracle(R, col, row,
+                                                                add):
+    bad = _perturbed(R, col, row, add)
+    point = YBE_SIGNED_POINTS[0]
+    got = rm.yang_baxter_residual(bad, *point)
+    assert got > 0
+    assert got == fraction_yang_baxter_residual(bad, *point)
+    result = rm.verify_yang_baxter(bad, [point, YBE_POINTS[0]])
+    assert result["status"] == "fail" and result["method"] == "sampled"
+    assert result["samples"] == 1
+    assert result["nonzero_entries"] == got
+
+
+@pytest.mark.parametrize("point", YBE_SIGNED_POINTS)
+def test_integer_evaluation_is_a_positive_multiple(R, point):
+    qval, xv, yv, _ = point
+    ints = rm._eval_int(R, rm._coeffs_at_q(R, qval), xv, yv)
+    fracs = fraction_eval_R(R, qval, xv, yv)
+    assert [set(c) for c in ints] == [set(c) for c in fracs]
+    assert all(type(v) is int for c in ints for v in c.values())
+    ratios = {v / fracs[k][row] for k, c in enumerate(ints)
+              for row, v in c.items()}
+    assert len(ratios) == 1 and ratios.pop() > 0
+
+
+def test_verify_yang_baxter_reports_method(R):
+    assert rm.verify_yang_baxter(R, YBE_POINTS[:1]) == {
+        "status": "pass", "method": "sampled", "samples": 1}
 
 
 def test_yang_baxter_without_samples_fails(R):
