@@ -8,7 +8,7 @@ Level contexts:
 """
 
 from . import g2crystal as g2
-from .g2crystal import gsum, pos
+from .g2crystal import gsum
 
 
 class LevelCtx:

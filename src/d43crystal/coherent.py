@@ -4,7 +4,6 @@ family.
 """
 
 from . import affine as af
-from . import g2crystal as g2
 from . import tensorcat as tc
 from .perfectness import minimal_elements, eps_weight, phi_weight
 

@@ -58,12 +58,6 @@ def p_mul(a, b):
     return p_trim(out)
 
 
-def p_scale(a, n):
-    if n == 0:
-        return P_ZERO
-    return tuple(c * n for c in a)
-
-
 def p_content(a):
     return int_gcd(*a)
 
@@ -488,10 +482,6 @@ class Laurent:
             return "Laurent(0)"
         bits = [f"{e}:{c}" for e, c in sorted(self.terms.items())]
         return "Laurent(" + ", ".join(bits) + ")"
-
-
-def lp2_const(c):
-    return Laurent.const(2, c)
 
 
 def lp2_poly_z(coeffs):

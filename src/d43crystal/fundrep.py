@@ -412,10 +412,10 @@ def vec_scale(a, s):
     return out
 
 
-def apply_f_word(rep, word, vec, swapped=False):
+def apply_f_word(rep, word, vec):
     """Apply Delta(f_i) for i in word, rightmost first (operator order)."""
     for i in reversed(word):
-        vec = act_f(rep, i, vec, swapped=swapped)
+        vec = act_f(rep, i, vec)
     return vec
 
 

@@ -1,5 +1,5 @@
-"""Spectral decomposition of the intertwiner on V1_x (x) V1_y: component
-projections, the coefficient matrices, and the verification suite
+"""Spectral decomposition of the intertwiner on V1_x (x) V1_y: the component
+frame, the coefficient matrices, and the verification suite
 (intertwining, determinant identities, vacuum eigenvalue, Yang-Baxter).
 
 The 64 tensor basis vectors are indexed by pairs (a, b), a, b in 0..7,
@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import lcm
 
 from .exactalg import (
-    Laurent, QRat, QR_ZERO, QR_ONE, lp2_poly_z, q_int, q_power, solve_linear,
+    Laurent, QR_ZERO, QR_ONE, lp2_poly_z, q_power, solve_linear,
 )
 from . import fundrep as fr
 
@@ -37,10 +37,6 @@ def _vec_to_qrat(vec):
             raise ValueError("vector has spectral dependence")
         col[flat(key)] = coeff
     return col
-
-
-def _qrat_vec(col):
-    return {divmod(k, 8): Laurent.const(2, c) for k, c in enumerate(col) if c}
 
 
 class _Echelon:
@@ -137,125 +133,70 @@ def build_components(rep=None):
     return comps
 
 
-def build_projections(comps):
-    """Projection matrices (dense QRat, column-major lists of columns) onto
-    each component along the others, computed weight block by weight block."""
-    order = fr.HW_ORDER
-    # group tensor indices by classical weight
-    blocks = {}
-    for k in range(N):
-        blocks.setdefault(fr.tensor_weight(divmod(k, 8)), []).append(k)
-    # tag every basis column with its component and position
-    tagged = []
-    for label in order:
-        for pos, col in enumerate(comps[label]):
-            w = None
-            for k, c in enumerate(col):
-                if c:
-                    w = fr.tensor_weight(divmod(k, 8))
-                    break
-            tagged.append((label, pos, w, col))
-    proj_cols = {label: [[QR_ZERO] * N for _ in range(N)] for label in order}
-    for w, idxs in blocks.items():
-        members = [(label, pos, col) for label, pos, wt, col in tagged
-                   if wt == w]
-        if len(members) != len(idxs):
-            raise ArithmeticError(
-                f"weight block {w}: {len(members)} basis vectors for "
-                f"{len(idxs)} coordinates")
-        rows = [[col[k] for _, _, col in members] for k in idxs]
-        for j, k in enumerate(idxs):
-            rhs = [QR_ONE if kk == k else QR_ZERO for kk in idxs]
-            sol = solve_linear(rows, rhs, QR_ZERO, QR_ONE)
-            if sol.kind != "unique":
-                raise ArithmeticError(f"weight block {w} is not a direct sum")
-            for (label, pos, col), coeff in zip(members, sol.particular):
-                if coeff:
-                    target = proj_cols[label][k]
-                    for kk in idxs:
-                        if col[kk]:
-                            target[kk] = target[kk] + coeff * col[kk]
-    return proj_cols
+def _frame_cols(comps):
+    """B: the component basis vectors in HW_ORDER, as sparse columns.  The
+    entries are constant Laurents, because a QRat cannot multiply the
+    Laurent columns B is applied to."""
+    return [{k: Laurent.const(2, c) for k, c in enumerate(col) if c}
+            for label in fr.HW_ORDER for col in comps[label]]
 
 
 def component_coords(comps):
-    """coords[label]: N columns, each the coefficient vector (length dim)
-    of the projection of the standard basis vector onto the component, in
-    the component basis.  Derived from the same block solves as the
-    projections but kept in basis coordinates for the iota maps."""
-    order = fr.HW_ORDER
+    """Sparse columns of B^-1: column k holds the coordinates of the
+    standard basis vector k in the component frame.  The frame is solved
+    weight block by weight block."""
     blocks = {}
     for k in range(N):
         blocks.setdefault(fr.tensor_weight(divmod(k, 8)), []).append(k)
-    tagged = []
-    for label in order:
-        for pos, col in enumerate(comps[label]):
-            w = None
-            for k, c in enumerate(col):
-                if c:
-                    w = fr.tensor_weight(divmod(k, 8))
-                    break
-            tagged.append((label, pos, w, col))
-    coords = {label: [[QR_ZERO] * len(comps[label]) for _ in range(N)]
-              for label in order}
+    members = {}
+    frame = [col for label in fr.HW_ORDER for col in comps[label]]
+    for j, col in enumerate(frame):
+        k = next(k for k, c in enumerate(col) if c)
+        members.setdefault(fr.tensor_weight(divmod(k, 8)), []).append(j)
+    inv = [None] * N
     for w, idxs in blocks.items():
-        members = [(label, pos, col) for label, pos, wt, col in tagged
-                   if wt == w]
-        rows = [[col[k] for _, _, col in members] for k in idxs]
+        js = members.get(w, [])
+        if len(js) != len(idxs):
+            raise ArithmeticError(
+                f"weight block {w}: {len(js)} basis vectors for "
+                f"{len(idxs)} coordinates")
+        rows = [[frame[j][k] for j in js] for k in idxs]
         for k in idxs:
             rhs = [QR_ONE if kk == k else QR_ZERO for kk in idxs]
             sol = solve_linear(rows, rhs, QR_ZERO, QR_ONE)
             if sol.kind != "unique":
                 raise ArithmeticError(f"weight block {w} is not a direct sum")
-            for (label, pos, _), coeff in zip(members, sol.particular):
-                if coeff:
-                    coords[label][k][pos] = coeff
-    return coords
+            inv[k] = {j: c for j, c in zip(js, sol.particular) if c}
+    return inv
 
 
-def transfer_matrix(comps, coords, src, dst):
-    """64x64 QRat matrix of iota_{dst<-src} composed with P_src: project
-    onto src, reinterpret the coordinates in the basis of dst."""
-    basis = comps[dst]
-    out = [[QR_ZERO] * N for _ in range(N)]  # list of columns
-    for k in range(N):
-        cvec = coords[src][k]
-        col = out[k]
-        for pos, coeff in enumerate(cvec):
-            if coeff:
-                b = basis[pos]
-                for kk in range(N):
-                    if b[kk]:
-                        col[kk] = col[kk] + coeff * b[kk]
-    return out
+def _block_cols(comps, table):
+    """Sparse columns of the map on frame coordinates that sends position p
+    of component src to position p of component dst, times table[src, dst]."""
+    start, offset = {}, 0
+    for label in fr.HW_ORDER:
+        start[label] = offset
+        offset += len(comps[label])
+    cols = [dict() for _ in range(N)]
+    for (src, dst), c in table.items():
+        for p in range(len(comps[src])):
+            cols[start[src] + p][start[dst] + p] = c
+    return cols
 
 
 def verify_iota(rep, comps, pairs):
     """Basis-aligned identification commutes with Delta(f_1), Delta(f_2):
-    lowering then transporting coordinates equals transporting then
-    lowering.  This is the word-independence of the iota maps."""
+    T = B . E_{dst<-src} . B^-1 satisfies T f_i = f_i T.  On src this is the
+    word-independence of the iota maps; on every other component both
+    sides vanish."""
+    frame, inv = _frame_cols(comps), component_coords(comps)
+    lower = [_act_matrix(rep, "f", i, swapped=False) for i in (1, 2)]
     for src, dst in pairs:
-        bs, bd = comps[src], comps[dst]
-        dim = len(bs)
-        ech_rows = [[bs[j][k] for j in range(dim)] for k in range(N)]
-        for i in (1, 2):
-            for j in range(dim):
-                fv = fr.act_f(rep, i, _qrat_vec(bs[j]))
-                col = _vec_to_qrat(fv)
-                sol = solve_linear(ech_rows, col, QR_ZERO, QR_ONE)
-                if sol.kind == "inconsistent":
-                    return False
-                cvec = sol.particular
-                # same combination in the destination basis
-                want = [QR_ZERO] * N
-                for pos, coeff in enumerate(cvec):
-                    if coeff:
-                        for kk in range(N):
-                            if bd[pos][kk]:
-                                want[kk] = want[kk] + coeff * bd[pos][kk]
-                fd = _vec_to_qrat(fr.act_f(rep, i, _qrat_vec(bd[j])))
-                if fd != want:
-                    return False
+        T = _sparse_mul(frame, _sparse_mul(
+            _block_cols(comps, {(src, dst): QR_ONE}), inv))
+        for f in lower:
+            if not _sparse_eq(_sparse_mul(T, f), _sparse_mul(f, T)):
+                return False
     return True
 
 
@@ -347,46 +288,28 @@ class RMatrix:
         ])
 
 
-def _accumulate(cols, qmat, scalar):
-    """cols += scalar * qmat where qmat is a list of QRat columns."""
-    for k in range(N):
-        col = qmat[k]
-        for kk in range(N):
-            if col[kk]:
-                add = scalar * col[kk]
-                cur = cols[k].get(kk)
-                s = add if cur is None else cur + add
-                if s:
-                    cols[k][kk] = s
-                elif cur is not None:
-                    del cols[k][kk]
+def _coefficients():
+    """(src, dst) -> the coefficient of R from component src to component
+    dst; a_L1[i][j] maps L1_{i+1} to L1_{j+1}, and likewise for a_0."""
+    table = {("2L1", "2L1"): a_2L1(), ("L2", "L2"): a_L2()}
+    for labels, mat in ((("L1_1", "L1_2", "L1_3"), a_L1()),
+                        (("0_1", "0_2"), a_0())):
+        for i, src in enumerate(labels):
+            for j, dst in enumerate(labels):
+                if mat[i][j]:
+                    table[src, dst] = mat[i][j]
+    return table
 
 
 def build_R(rep=None, comps=None):
+    """R = B . A(z) . B^-1 in the component frame."""
     if rep is None:
         rep = fr.build_v1()
     if comps is None:
         comps = build_components(rep)
-    proj = build_projections(comps)
-    coords = component_coords(comps)
-    cols = [dict() for _ in range(N)]
-    _accumulate(cols, proj["2L1"], a_2L1())
-    _accumulate(cols, proj["L2"], a_L2())
-    al1 = a_L1()
-    l1 = ("L1_1", "L1_2", "L1_3")
-    for i in range(3):
-        for j in range(3):
-            if al1[i][j]:
-                _accumulate(cols, transfer_matrix(comps, coords, l1[i], l1[j]),
-                            al1[i][j])
-    a0 = a_0()
-    triv = ("0_1", "0_2")
-    for i in range(2):
-        for j in range(2):
-            if a0[i][j]:
-                _accumulate(cols, transfer_matrix(comps, coords, triv[i], triv[j]),
-                            a0[i][j])
-    return RMatrix(cols)
+    a_inv = _sparse_mul(_block_cols(comps, _coefficients()),
+                        component_coords(comps))
+    return RMatrix(_sparse_mul(_frame_cols(comps), a_inv))
 
 
 # ---------------------------------------------------------------------------

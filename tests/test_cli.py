@@ -119,7 +119,8 @@ def test_verify_coherent(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["checks"] == {"embeddings": True, "cover": True,
-                             "limit_point": True}
+                             "limit_point": True, "embeddings_checked": 3,
+                             "cover_points_checked": 405}
 
 
 def test_verify_relations(capsys):
@@ -139,10 +140,11 @@ def test_usage_errors(capsys):
 
 
 def test_jobs_flag(capsys):
+    # there is no --jobs option
     code, out, _ = run_cli(capsys, "--jobs", "2", "verify", "lemmas",
                            "--lmax", "2")
-    assert code == 0
-    assert json.loads(out)["status"] == "pass"
+    assert code == 2
+    assert out == ""
 
 
 @pytest.mark.parametrize("samples", ["0", "-5", "21", "x"])
@@ -208,3 +210,14 @@ def test_zero_count_is_a_failure(capsys, monkeypatch, suite, patch):
     code, out, _ = run_cli(capsys, "verify", suite)
     assert code == 1
     assert json.loads(out)["status"] == "fail"
+
+
+def test_coherent_zero_cover_count_is_a_failure(capsys, monkeypatch):
+    monkeypatch.setattr(cli.ch, "verify_cover",
+                        lambda radius: {"status": "pass", "checked": 0})
+    code, out, _ = run_cli(capsys, "verify", "coherent", "--level", "1",
+                           "--box", "0")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "fail"
+    assert doc["checks"]["cover_points_checked"] == 0

@@ -44,3 +44,22 @@ def test_no_floating_point(path):
 def test_scan_sees_the_package():
     assert {p.name for p in SOURCES} >= {"exactalg.py", "rmatrix.py",
                                           "cli.py"}
+
+
+def _unused_imports(tree):
+    """Names bound by an import statement and never read in the module."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".", 1)[0]
+                bound[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return {name: line for name, line in bound.items() if name not in used}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_are_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unused = _unused_imports(tree)
+    assert not unused, f"{path.name} imports unused names {unused}"

@@ -6,7 +6,9 @@ import pytest
 
 from d43crystal import rmatrix as rm
 from d43crystal import fundrep as fr
-from d43crystal.exactalg import QRat, Laurent
+from d43crystal.exactalg import (
+    QRat, Laurent, QR_ONE, QR_ZERO, q_power, solve_linear,
+)
 
 YBE_POINTS = [
     (Fraction(2), Fraction(3), Fraction(5), Fraction(7)),
@@ -40,20 +42,56 @@ def test_component_dimensions(comps):
     assert sum(rm.EXPECTED_DIMS.values()) == rm.N
 
 
+def frame_projections(comps):
+    """label -> T_{label<-label} = B . E_{label<-label} . B^-1, the
+    projection onto the component along the others, as sparse columns."""
+    frame, inv = rm._frame_cols(comps), rm.component_coords(comps)
+    return {label: rm._sparse_mul(frame, rm._sparse_mul(
+        rm._block_cols(comps, {(label, label): QR_ONE}), inv))
+        for label in fr.HW_ORDER}
+
+
 def test_projections_resolve_identity(comps):
-    projs = rm.build_projections(comps)
-    for n in range(rm.N):
-        total = [QRat(0)] * rm.N
-        for cols in projs.values():
-            for row, c in enumerate(cols[n]):
-                total[row] = total[row] + c
-        assert total == [QRat(1) if row == n else QRat(0)
-                         for row in range(rm.N)]
+    total = [dict() for _ in range(rm.N)]
+    for proj in frame_projections(comps).values():
+        assert any(proj)
+        for n, col in enumerate(proj):
+            for row, c in col.items():
+                total[n][row] = total[n].get(row, Laurent(2)) + c
+    one = Laurent.const(2, QR_ONE)
+    assert [{row: c for row, c in col.items() if c} for col in total] == [
+        {n: one} for n in range(rm.N)]
+
+
+IOTA_PAIRS = [("L1_1", "L1_2"), ("L1_1", "L1_3"), ("0_1", "0_2")]
 
 
 def test_iota_well_defined(rep, comps):
-    assert rm.verify_iota(rep, comps, [("L1_1", "L1_2"), ("L1_1", "L1_3"),
-                                       ("0_1", "0_2")])
+    assert rm.verify_iota(rep, comps, IOTA_PAIRS)
+    # L1_3 with two basis vectors swapped: the identification is no longer
+    # basis-aligned
+    permuted = dict(comps)
+    b = list(comps["L1_3"])
+    b[1], b[2] = b[2], b[1]
+    permuted["L1_3"] = b
+    assert not rm.verify_iota(rep, permuted, IOTA_PAIRS)
+    # one L1_2 basis vector times q: no longer a module map.  (Scaling the
+    # whole basis by q would still be one.)
+    rescaled = dict(comps)
+    b = list(comps["L1_2"])
+    b[1] = [c * q_power(1) for c in b[1]]
+    rescaled["L1_2"] = b
+    assert not rm.verify_iota(rep, rescaled, IOTA_PAIRS)
+    # L1_2 vectors 2, 3 and 4 times q: this still commutes with f_1, and
+    # only f_2 sees it
+    b = list(comps["L1_2"])
+    for j in (2, 3, 4):
+        b[j] = [c * q_power(1) for c in b[j]]
+    rescaled["L1_2"] = b
+    assert not rm.verify_iota(rep, rescaled, IOTA_PAIRS)
+    whole = dict(comps)
+    whole["L1_2"] = [[c * q_power(1) for c in col] for col in comps["L1_2"]]
+    assert rm.verify_iota(rep, whole, IOTA_PAIRS)
 
 
 def test_vacuum_eigenvalue_is_a2L1(R):
@@ -93,6 +131,166 @@ def test_coefficient_normalizations():
 def test_yang_baxter_sampled(R):
     for qval, xv, yv, zv in YBE_POINTS:
         assert rm.yang_baxter_residual(R, qval, xv, yv, zv) == 0
+
+
+# ---------------------------------------------------------------------------
+# the earlier assembly of R from dense projection and transfer matrices,
+# kept as a test-only oracle for the component frame B . A(z) . B^-1
+
+N = rm.N
+RMatrix, build_components = rm.RMatrix, rm.build_components
+a_2L1, a_L2, a_L1, a_0 = rm.a_2L1, rm.a_L2, rm.a_L1, rm.a_0
+
+
+def oracle_build_projections(comps):
+    """Projection matrices (dense QRat, column-major lists of columns) onto
+    each component along the others, computed weight block by weight block."""
+    order = fr.HW_ORDER
+    # group tensor indices by classical weight
+    blocks = {}
+    for k in range(N):
+        blocks.setdefault(fr.tensor_weight(divmod(k, 8)), []).append(k)
+    # tag every basis column with its component and position
+    tagged = []
+    for label in order:
+        for pos, col in enumerate(comps[label]):
+            w = None
+            for k, c in enumerate(col):
+                if c:
+                    w = fr.tensor_weight(divmod(k, 8))
+                    break
+            tagged.append((label, pos, w, col))
+    proj_cols = {label: [[QR_ZERO] * N for _ in range(N)] for label in order}
+    for w, idxs in blocks.items():
+        members = [(label, pos, col) for label, pos, wt, col in tagged
+                   if wt == w]
+        if len(members) != len(idxs):
+            raise ArithmeticError(
+                f"weight block {w}: {len(members)} basis vectors for "
+                f"{len(idxs)} coordinates")
+        rows = [[col[k] for _, _, col in members] for k in idxs]
+        for j, k in enumerate(idxs):
+            rhs = [QR_ONE if kk == k else QR_ZERO for kk in idxs]
+            sol = solve_linear(rows, rhs, QR_ZERO, QR_ONE)
+            if sol.kind != "unique":
+                raise ArithmeticError(f"weight block {w} is not a direct sum")
+            for (label, pos, col), coeff in zip(members, sol.particular):
+                if coeff:
+                    target = proj_cols[label][k]
+                    for kk in idxs:
+                        if col[kk]:
+                            target[kk] = target[kk] + coeff * col[kk]
+    return proj_cols
+
+
+def oracle_component_coords(comps):
+    """coords[label]: N columns, each the coefficient vector (length dim)
+    of the projection of the standard basis vector onto the component, in
+    the component basis.  Derived from the same block solves as the
+    projections but kept in basis coordinates for the iota maps."""
+    order = fr.HW_ORDER
+    blocks = {}
+    for k in range(N):
+        blocks.setdefault(fr.tensor_weight(divmod(k, 8)), []).append(k)
+    tagged = []
+    for label in order:
+        for pos, col in enumerate(comps[label]):
+            w = None
+            for k, c in enumerate(col):
+                if c:
+                    w = fr.tensor_weight(divmod(k, 8))
+                    break
+            tagged.append((label, pos, w, col))
+    coords = {label: [[QR_ZERO] * len(comps[label]) for _ in range(N)]
+              for label in order}
+    for w, idxs in blocks.items():
+        members = [(label, pos, col) for label, pos, wt, col in tagged
+                   if wt == w]
+        rows = [[col[k] for _, _, col in members] for k in idxs]
+        for k in idxs:
+            rhs = [QR_ONE if kk == k else QR_ZERO for kk in idxs]
+            sol = solve_linear(rows, rhs, QR_ZERO, QR_ONE)
+            if sol.kind != "unique":
+                raise ArithmeticError(f"weight block {w} is not a direct sum")
+            for (label, pos, _), coeff in zip(members, sol.particular):
+                if coeff:
+                    coords[label][k][pos] = coeff
+    return coords
+
+
+def oracle_transfer_matrix(comps, coords, src, dst):
+    """64x64 QRat matrix of iota_{dst<-src} composed with P_src: project
+    onto src, reinterpret the coordinates in the basis of dst."""
+    basis = comps[dst]
+    out = [[QR_ZERO] * N for _ in range(N)]  # list of columns
+    for k in range(N):
+        cvec = coords[src][k]
+        col = out[k]
+        for pos, coeff in enumerate(cvec):
+            if coeff:
+                b = basis[pos]
+                for kk in range(N):
+                    if b[kk]:
+                        col[kk] = col[kk] + coeff * b[kk]
+    return out
+
+
+def oracle_accumulate(cols, qmat, scalar):
+    """cols += scalar * qmat where qmat is a list of QRat columns."""
+    for k in range(N):
+        col = qmat[k]
+        for kk in range(N):
+            if col[kk]:
+                add = scalar * col[kk]
+                cur = cols[k].get(kk)
+                s = add if cur is None else cur + add
+                if s:
+                    cols[k][kk] = s
+                elif cur is not None:
+                    del cols[k][kk]
+
+
+def oracle_build_R(rep=None, comps=None):
+    if rep is None:
+        rep = fr.build_v1()
+    if comps is None:
+        comps = build_components(rep)
+    proj = oracle_build_projections(comps)
+    coords = oracle_component_coords(comps)
+    cols = [dict() for _ in range(N)]
+    oracle_accumulate(cols, proj["2L1"], a_2L1())
+    oracle_accumulate(cols, proj["L2"], a_L2())
+    al1 = a_L1()
+    l1 = ("L1_1", "L1_2", "L1_3")
+    for i in range(3):
+        for j in range(3):
+            if al1[i][j]:
+                oracle_accumulate(
+                    cols, oracle_transfer_matrix(comps, coords, l1[i], l1[j]),
+                    al1[i][j])
+    a0 = a_0()
+    triv = ("0_1", "0_2")
+    for i in range(2):
+        for j in range(2):
+            if a0[i][j]:
+                oracle_accumulate(
+                    cols,
+                    oracle_transfer_matrix(comps, coords, triv[i], triv[j]),
+                    a0[i][j])
+    return RMatrix(cols)
+
+
+def test_build_R_matches_projection_oracle(rep, comps, R):
+    want = oracle_build_R(rep, comps)
+    assert R.cols == want.cols
+    assert sum(map(len, R.cols)) == 342
+
+
+def test_oracle_projections_are_the_frame_projections(comps):
+    want = oracle_build_projections(comps)
+    for label, got in frame_projections(comps).items():
+        assert got == [{row: Laurent.const(2, c) for row, c in enumerate(col)
+                        if c} for col in want[label]]
 
 
 # ---------------------------------------------------------------------------
