@@ -12,6 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import affine as af
+from . import tensorcat as tc
 from .g2crystal import pos
 
 
@@ -147,30 +148,6 @@ def tab_to_element(l, i, j0, j1, t, ctx=None):
 # decomposition of B_l under {0,1}-arrows
 
 
-def zero_one_components(l):
-    """Connected components of B_l under colors {0,1} (frozensets)."""
-    ctx = af.LevelCtx.finite(l)
-    elements = af.enumerate_Bl(l)
-    seen = set()
-    comps = []
-    for start in elements:
-        if start in seen:
-            continue
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            b = frontier.pop()
-            for kind in ("e", "f"):
-                for color in (0, 1):
-                    nb = af.apply_op(kind, color, b, ctx)
-                    if nb is not None and nb not in comp:
-                        comp.add(nb)
-                        frontier.append(nb)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return comps
-
-
 class DecompositionError(AssertionError):
     pass
 
@@ -182,7 +159,7 @@ def decompose(l, check_isomorphism=True):
     Returns a list of dicts {i, j0, j1, size, highest} sorted by index.
     """
     ctx = af.LevelCtx.finite(l)
-    comps = zero_one_components(l)
+    comps = tc.connected_components(tc.level_crystal(l), colors=(0, 1))
     expected = component_indices(l)
     by_highest = {}
     for (i, j0, j1) in expected:
@@ -470,9 +447,10 @@ def _oracle(l, i, j0, j1, p, q, r):
     return lower_pqr(bbar(l, i, j0, j1), p, q, r, af.NONNEG)
 
 
-def verify_appendix(l_max, tables="ABCD", r_cap_extra=3):
+def verify_appendix(l_max, tables="ABCD"):
     """Check every closed form against iterated lowering on the unbounded
-    nonnegative crystal.  Returns the number of parameter tuples checked;
+    nonnegative crystal.  In tables B and C, r runs three steps past its
+    condition-(C) range.  Returns the number of parameter tuples checked;
     raises AssertionError with a full parameter dump on the first mismatch.
     """
     checked = 0
@@ -486,13 +464,13 @@ def verify_appendix(l_max, tables="ABCD", r_cap_extra=3):
             if "B" in tables and j0 == i:
                 for p in range(i + 1):
                     for q in range(p, j1 + p + 1):
-                        r_hi = i + q - 2 * p + r_cap_extra
+                        r_hi = i + q - 2 * p + 3
                         for r in range(r_hi + 1):
                             forms = table_b(l, i, j1, p, q, r)
                             checked += _compare("B", forms, l, i, i, j1, p, q, r)
             if "C" in tables and j0 <= j1:
                 for q in range(j0 + j1 + 1):
-                    for r in range(j0 + j1 + r_cap_extra + 1):
+                    for r in range(j0 + j1 + 4):
                         forms = table_c(l, i, j0, j1, q, r)
                         checked += _compare("C", forms, l, i, j0, j1, j0, q, r)
             if "D" in tables and j0 <= j1:

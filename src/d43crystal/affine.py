@@ -120,19 +120,16 @@ def e0(b, ctx):
     return nb if ctx.admits(nb) else None
 
 
-def _guarded(nb, ctx):
-    if nb is None:
-        return None
-    return nb if ctx.admits(nb) else None
+_RAW = {("e", 1): g2.e1_raw, ("f", 1): g2.f1_raw,
+        ("e", 2): g2.e2_raw, ("f", 2): g2.f2_raw}
 
 
 def apply_op(kind, i, b, ctx):
     """kind 'e' or 'f', color i in {0,1,2}."""
     if i == 0:
         return e0(b, ctx) if kind == "e" else f0(b, ctx)
-    table = {("e", 1): g2.e1_raw, ("f", 1): g2.f1_raw,
-             ("e", 2): g2.e2_raw, ("f", 2): g2.f2_raw}
-    return _guarded(table[(kind, i)](b), ctx)
+    nb = _RAW[kind, i](b)
+    return nb if ctx.admits(nb) else None
 
 
 def phi0(b, ctx):

@@ -1,32 +1,16 @@
 """The limit crystal on all-integer coordinate tuples and the embeddings
 from the shifted finite-level crystals that exhibit {B_l} as a coherent
-family.
+family.  The limit crystal is B_l's operators and statistics in the FREE
+level context.
 """
 
+from itertools import product
+
 from . import affine as af
-from . import tensorcat as tc
+from .g2crystal import gsum
 from .perfectness import minimal_elements, eps_weight, phi_weight
 
 B_INF = (0, 0, 0, 0, 0, 0)
-
-
-def inf_op(kind, i, b):
-    """Operators on the limit crystal; always defined."""
-    nb = af.apply_op(kind, i, b, af.FREE)
-    assert nb is not None
-    return nb
-
-
-def inf_eps(i, b):
-    return af.eps(i, b, af.FREE)
-
-
-def inf_phi(i, b):
-    return af.phi(i, b, af.FREE)
-
-
-def inf_weight(b):
-    return af.weight(b, af.FREE)
 
 
 def f_embed(l, b0, b):
@@ -46,40 +30,40 @@ def f_embed_inverse(l, b0, nu):
     return b if af.LevelCtx.finite(l).admits(b) else None
 
 
-def shifted_level_crystal(l, b0):
-    """T_{eps(b0)} (x) B_l (x) T_{-phi(b0)} as a Crystal."""
-    ctx = af.LevelCtx.finite(l)
-    lam = eps_weight(b0, ctx)
-    mu = tuple(-v for v in phi_weight(b0, ctx))
-    return tc.shift_crystal(lam, mu, tc.level_crystal(l))
-
-
 def verify_embedding(l, b0):
-    """Commutation with all operators, matching statistics, injectivity."""
+    """Commutation with all operators, matching statistics, injectivity.
+
+    The shifted crystal T_lam (x) B_l (x) T_-mu, with lam = eps(b0) and
+    mu = phi(b0), has the arrows of B_l and the statistics eps - lam,
+    phi - mu and wt + lam - mu; these must be the limit crystal's at the
+    image of each element."""
     if b0 not in minimal_elements(l):
         raise ValueError(f"{b0} is not minimal in B_{l}")
-    shifted = shifted_level_crystal(l, b0)
+    ctx = af.LevelCtx.finite(l)
+    lam, mu = eps_weight(b0, ctx), phi_weight(b0, ctx)
     images = {}
-    for b in shifted.elements:
+    for b in af.enumerate_Bl(l):
         nu = f_embed(l, b0, b)
         if nu in images:
             return {"status": "fail", "reason": "not injective",
                     "elements": (images[nu], b)}
         images[nu] = b
-        if shifted.wt(b) != inf_weight(nu):
-            return {"status": "fail", "element": b, "reason": "weight"}
         for i in range(3):
-            if shifted.eps(i, b) != inf_eps(i, nu):
+            if af.eps(i, b, ctx) - lam[i] != af.eps(i, nu, af.FREE):
                 return {"status": "fail", "element": b, "color": i,
                         "reason": "eps"}
-            if shifted.phi(i, b) != inf_phi(i, nu):
+            if af.phi(i, b, ctx) - mu[i] != af.phi(i, nu, af.FREE):
                 return {"status": "fail", "element": b, "color": i,
                         "reason": "phi"}
             for kind in ("e", "f"):
-                nb = shifted.op(kind, i, b)
-                if nb is not None and f_embed(l, b0, nb) != inf_op(kind, i, nu):
+                nb = af.apply_op(kind, i, b, ctx)
+                if nb is not None and f_embed(l, b0, nb) != af.apply_op(
+                        kind, i, nu, af.FREE):
                     return {"status": "fail", "element": b, "color": i,
                             "reason": kind}
+        wt = tuple(w + a - m for w, a, m in zip(af.weight(b, ctx), lam, mu))
+        if wt != af.weight(nu, af.FREE):
+            return {"status": "fail", "element": b, "reason": "weight"}
     if f_embed(l, b0, b0) != B_INF:
         return {"status": "fail", "reason": "b0 does not map to the origin"}
     return {"status": "pass", "elements": len(images)}
@@ -97,12 +81,26 @@ def verify_all_embeddings(l_max):
 
 
 def cover_witness(nu, l_max):
-    """Smallest l <= l_max such that nu is in the image of some embedding."""
-    for l in range(1, l_max + 1):
-        for b0 in minimal_elements(l):
-            if f_embed_inverse(l, b0, nu) is not None:
-                return (l, b0)
+    """Smallest l <= l_max such that nu is in the image of some embedding,
+    with the first minimal element b0 of B_l whose image holds nu.
+
+    nu + b0 has nonnegative coordinates exactly when alpha >= -nu1, -nu1b
+    and beta >= -nu2, -nu3, -nu3b, -nu2b, and it lies in B_l when also
+    gsum(nu) + 2 alpha + 3 beta <= l; b0 itself needs 2 alpha + 3 beta <= l.
+    The smallest alpha and beta give the smallest l."""
+    alpha = max(0, -nu[0], -nu[5])
+    beta = max(0, -nu[1], -nu[2], -nu[3], -nu[4])
+    l = max(1, 2 * alpha + 3 * beta + max(0, gsum(nu)))
+    b0 = (alpha, beta, beta, beta, beta, alpha)
+    if l <= l_max and f_embed_inverse(l, b0, nu) is not None:
+        return (l, b0)
     return None
+
+
+def _box(radius):
+    """Parity-admissible integer tuples in the box [-radius, radius]^6."""
+    rng = range(-radius, radius + 1)
+    return (nu for nu in product(rng, repeat=6) if (nu[2] - nu[3]) % 2 == 0)
 
 
 def verify_cover(radius, l_max=None):
@@ -110,50 +108,35 @@ def verify_cover(radius, l_max=None):
     lies in the image of some embedding with l <= l_max."""
     if l_max is None:
         l_max = 10 * radius + 1
-    rng = range(-radius, radius + 1)
     checked = 0
-    for nu1 in rng:
-        for nu2 in rng:
-            for nu3 in rng:
-                for nu3b in rng:
-                    if (nu3 - nu3b) % 2:
-                        continue
-                    for nu2b in rng:
-                        for nu1b in rng:
-                            nu = (nu1, nu2, nu3, nu3b, nu2b, nu1b)
-                            if cover_witness(nu, l_max) is None:
-                                return {"status": "fail", "element": nu,
-                                        "l_max": l_max}
-                            checked += 1
+    for nu in _box(radius):
+        if cover_witness(nu, l_max) is None:
+            return {"status": "fail", "element": nu, "l_max": l_max}
+        checked += 1
     return {"status": "pass", "checked": checked, "l_max": l_max}
 
 
 def verify_limit_point():
     """wt, eps and phi all vanish at the distinguished element."""
-    ok = inf_weight(B_INF) == (0, 0, 0) and all(
-        inf_eps(i, B_INF) == 0 and inf_phi(i, B_INF) == 0 for i in range(3))
+    ok = af.weight(B_INF, af.FREE) == (0, 0, 0) and all(
+        af.eps(i, B_INF, af.FREE) == 0 and af.phi(i, B_INF, af.FREE) == 0
+        for i in range(3))
     return {"status": "pass" if ok else "fail"}
 
 
 def verify_totality(radius=3):
     """Operators never die on the limit crystal and invert each other."""
-    rng = range(-radius, radius + 1)
-    for nu1 in rng:
-        for nu2 in rng:
-            for nu3 in rng:
-                for nu3b in rng:
-                    if (nu3 - nu3b) % 2:
-                        continue
-                    for nu2b in rng:
-                        for nu1b in rng:
-                            nu = (nu1, nu2, nu3, nu3b, nu2b, nu1b)
-                            for i in range(3):
-                                down = inf_op("f", i, nu)
-                                up = inf_op("e", i, nu)
-                                if inf_op("e", i, down) != nu:
-                                    return {"status": "fail", "element": nu,
-                                            "color": i, "reason": "e.f != id"}
-                                if inf_op("f", i, up) != nu:
-                                    return {"status": "fail", "element": nu,
-                                            "color": i, "reason": "f.e != id"}
+    for nu in _box(radius):
+        for i in range(3):
+            down = af.apply_op("f", i, nu, af.FREE)
+            up = af.apply_op("e", i, nu, af.FREE)
+            if down is None or up is None:
+                return {"status": "fail", "element": nu, "color": i,
+                        "reason": "operator undefined"}
+            if af.apply_op("e", i, down, af.FREE) != nu:
+                return {"status": "fail", "element": nu, "color": i,
+                        "reason": "e.f != id"}
+            if af.apply_op("f", i, up, af.FREE) != nu:
+                return {"status": "fail", "element": nu, "color": i,
+                        "reason": "f.e != id"}
     return {"status": "pass"}

@@ -227,6 +227,8 @@ class QRat:
         return QRat(p_neg(self.num), self.den, _reduced=True)
 
     def __mul__(self, other):
+        if not isinstance(other, QRat):
+            return NotImplemented  # a Laurent scales itself by self
         if not self.num or not other.num:
             return QR_ZERO
         if self.den == P_ONE and other.den == P_ONE:

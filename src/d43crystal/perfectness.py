@@ -120,10 +120,10 @@ def check_P4_P5(l):
     return {"status": "pass", "minimal": found_min}
 
 
-def check_psi_positive(radius=8, homog_samples=None, homog_tmax=5):
+def check_psi_positive(radius=8, homog_samples=None):
     """psi >= 0 on the integer box [-radius, radius]^4 with a unique zero at
-    the origin; positive 1-homogeneity on sample rays extends the box check
-    to the cone it spans."""
+    the origin; positive 1-homogeneity on sample rays (t = 1..5) extends
+    the box check to the cone it spans."""
     zeros = []
     rng = range(-radius, radius + 1)
     for z1 in rng:
@@ -144,7 +144,7 @@ def check_psi_positive(radius=8, homog_samples=None, homog_tmax=5):
                          (1, 1, 1, 1), (-1, -1, -1, -1), (5, -7, 3, -2)]
     for z in homog_samples:
         base = psi(*z)
-        for t in range(1, homog_tmax + 1):
+        for t in range(1, 6):
             if psi(*(t * v for v in z)) != t * base:
                 return {"status": "fail", "homogeneity": z, "t": t}
     return {"status": "pass"}
@@ -160,13 +160,12 @@ def check_psi_level_consistency(l_max=5):
     return {"status": "pass"}
 
 
-def perfectness_report(l, with_P1=None):
-    """Full per-axiom report; P3 is module-theoretic and stays unchecked."""
-    if with_P1 is None:
-        with_P1 = l <= 4
+def perfectness_report(l):
+    """Full per-axiom report; P3 is module-theoretic and stays unchecked,
+    and P1 is checked for l <= 4 only (size bound)."""
     report = {"level": l}
-    report["P1"] = check_P1(l) if with_P1 else {"status": "skipped",
-                                                "reason": "size bound"}
+    report["P1"] = check_P1(l) if l <= 4 else {"status": "skipped",
+                                               "reason": "size bound"}
     report["P2"] = check_P2(l)
     report["P3"] = {"status": "skipped",
                     "reason": "existence of a crystal pseudobase is not checked here"}

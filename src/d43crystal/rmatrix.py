@@ -134,10 +134,8 @@ def build_components(rep=None):
 
 
 def _frame_cols(comps):
-    """B: the component basis vectors in HW_ORDER, as sparse columns.  The
-    entries are constant Laurents, because a QRat cannot multiply the
-    Laurent columns B is applied to."""
-    return [{k: Laurent.const(2, c) for k, c in enumerate(col) if c}
+    """B: the component basis vectors in HW_ORDER, as sparse QRat columns."""
+    return [{k: c for k, c in enumerate(col) if c}
             for label in fr.HW_ORDER for col in comps[label]]
 
 
@@ -333,7 +331,8 @@ def _act_matrix(rep, kind, i, swapped):
 
 def _sparse_mul(a_cols, b_cols):
     """(a . b) as sparse columns: apply b first, then a.  Entries may be
-    ints, Fractions or Laurents; an entry that cancels to zero is dropped."""
+    ints, Fractions, QRats or Laurents (a QRat times a Laurent is a
+    Laurent); an entry that cancels to zero is dropped."""
     out = []
     for col in b_cols:
         acc = {}
@@ -377,7 +376,9 @@ def vacuum_eigenvalue(R):
 
 
 def phi_nonvanishing(kmax=10):
-    """a_2L1 evaluated at z = q^{2k} is a nonzero element of Q(q)."""
+    """a_2L1(q^{2k}) != 0 in Q(q) for k = 1..kmax: the vacuum eigenvalue
+    does not vanish there.  This is not invertibility of R: at q = 3 its
+    exact rank is 35 at z = q^2 and 63 at z = q^6."""
     phi = a_2L1()
     for k in range(1, kmax + 1):
         acc = QR_ZERO

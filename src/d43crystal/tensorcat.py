@@ -1,6 +1,6 @@
-"""Tensor products of two crystals, single-element shift crystals, connected
-components of colored graphs, and the deterministic walk joining any element
-of B_l (x) B_l to phi (x) phi.
+"""Tensor products of two crystals, connected components of colored graphs,
+and the deterministic walk joining any element of B_l (x) B_l to
+phi (x) phi.
 """
 
 from collections import deque
@@ -13,7 +13,7 @@ PHI = (0, 0, 0, 0, 0, 0)
 class Crystal:
     """A finite crystal presented by its element list and statistics.
 
-    ops(kind, i, b) returns an element or None; eps/phi are totals.
+    op(kind, i, b) returns an element or None; eps/phi are totals.
     """
 
     def __init__(self, elements, op, eps, phi, wt):
@@ -85,27 +85,6 @@ def tensor_crystal(c1, c2):
 
 
 # ---------------------------------------------------------------------------
-# shift crystal T_lambda (x) B (x) T_mu; operators act on the middle factor
-
-def pair_h(i, w):
-    """<h_i, w> for w in Lambda-coordinates: just the i-th coefficient."""
-    return w[i]
-
-
-def shift_crystal(lam, mu, base):
-    def op(kind, i, b):
-        return base.op(kind, i, b)
-
-    return Crystal(
-        base.elements,
-        op,
-        lambda i, b: base.eps(i, b) - pair_h(i, lam),
-        lambda i, b: base.phi(i, b) + pair_h(i, mu),
-        lambda b: tuple(x + y + z for x, y, z in zip(lam, mu, base.wt(b))),
-    )
-
-
-# ---------------------------------------------------------------------------
 # connected components
 
 
@@ -135,19 +114,17 @@ def connected_components(crystal, colors=(0, 1, 2)):
 # the deterministic walk to phi (x) phi in B_l (x) B_l
 
 
-def connect_to_vacuum(l, pair, max_steps=None):
+def connect_to_vacuum(l, pair):
     """Return the list of (color, pair) lowering steps taking pair to
-    (phi, phi) in B_l (x) B_l.  Raises if the walk fails to terminate."""
+    (phi, phi) in B_l (x) B_l.  Raises if the walk fails to terminate
+    within 200 (l+1)^2 steps."""
     c = level_crystal(l)
-    t = tensor_crystal(c, c)
-    if max_steps is None:
-        max_steps = 200 * (l + 1) ** 2
     steps = []
 
     def saturate(cur):
         while True:
             for i in (1, 2):
-                nxt = t.op("f", i, cur)
+                nxt = tensor_f(i, cur, c, c)
                 if nxt is not None:
                     steps.append((i, nxt))
                     cur = nxt
@@ -163,7 +140,7 @@ def connect_to_vacuum(l, pair, max_steps=None):
         raise RuntimeError(f"saturation did not reach a barred-one string: {cur}")
     gamma = m + max(0, c.phi(0, b) - l + m)
     for _ in range(gamma):
-        cur = t.op("f", 0, cur)
+        cur = tensor_f(0, cur, c, c)
         if cur is None:
             raise RuntimeError("0-string ended early during the gamma step")
         steps.append((0, cur))
@@ -174,13 +151,13 @@ def connect_to_vacuum(l, pair, max_steps=None):
     if cur[0] != (0, 0, 0, 0, 0, mprime) or cur[1] != PHI:
         raise RuntimeError(f"second saturation failed: {cur}")
     for _ in range(mprime):
-        cur = t.op("f", 0, cur)
+        cur = tensor_f(0, cur, c, c)
         if cur is None:
             raise RuntimeError("final 0-steps ended early")
         steps.append((0, cur))
     if cur != (PHI, PHI):
         raise RuntimeError(f"walk ended at {cur}, not the vacuum")
-    if len(steps) > max_steps:
+    if len(steps) > 200 * (l + 1) ** 2:
         raise RuntimeError("walk exceeded the step budget")
     return steps
 

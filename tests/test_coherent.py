@@ -1,7 +1,10 @@
 """Limit crystal totality and the coherent-family embeddings."""
 
+from itertools import product
+
 import pytest
 
+from d43crystal import affine as af
 from d43crystal import coherent as ch
 from d43crystal import perfectness as pf
 
@@ -14,10 +17,26 @@ def test_totality_small():
     assert ch.verify_totality(radius=2)["status"] == "pass"
 
 
+def test_totality_reports_an_undefined_operator(monkeypatch):
+    apply_op = af.apply_op
+
+    def dies_on_f2(kind, i, b, ctx):
+        return None if (kind, i) == ("f", 2) else apply_op(kind, i, b, ctx)
+
+    monkeypatch.setattr(af, "apply_op", dies_on_f2)
+    r = ch.verify_totality(radius=1)
+    assert r["status"] == "fail"
+    assert r["reason"] == "operator undefined"
+    assert r["color"] == 2
+
+
 def test_operators_move_off_the_origin():
-    assert ch.inf_op("f", 0, ch.B_INF) != ch.B_INF
-    assert ch.inf_op("e", 0, ch.inf_op("f", 0, ch.B_INF)) == ch.B_INF
-    assert ch.inf_op("f", 1, ch.B_INF) == (-1, 1, 0, 0, 0, 0)
+    def op(kind, i, b):
+        return af.apply_op(kind, i, b, af.FREE)
+
+    assert op("f", 0, ch.B_INF) != ch.B_INF
+    assert op("e", 0, op("f", 0, ch.B_INF)) == ch.B_INF
+    assert op("f", 1, ch.B_INF) == (-1, 1, 0, 0, 0, 0)
 
 
 @pytest.mark.parametrize("l", range(1, 5))
@@ -25,6 +44,16 @@ def test_embeddings(l):
     for b0 in pf.minimal_elements(l):
         r = ch.verify_embedding(l, b0)
         assert r["status"] == "pass", r
+
+
+def test_embedding_detects_shifted_eps(monkeypatch):
+    eps_weight = pf.eps_weight
+    monkeypatch.setattr(
+        ch, "eps_weight",
+        lambda b, ctx: tuple(v + 1 for v in eps_weight(b, ctx)))
+    r = ch.verify_embedding(2, (0, 0, 0, 0, 0, 0))
+    assert r["status"] == "fail"
+    assert r["reason"] == "eps"
 
 
 def test_embedding_rejects_non_minimal():
@@ -54,3 +83,34 @@ def test_cover_witness():
     assert w is not None
     l, b0 = w
     assert ch.f_embed_inverse(l, b0, (-1, -1, -1, -1, -1, -1)) is not None
+
+
+def oracle_cover_witness(nu, l_max):
+    """The search over every (l, b0) that the closed form replaced."""
+    for l in range(1, l_max + 1):
+        for b0 in pf.minimal_elements(l):
+            if ch.f_embed_inverse(l, b0, nu) is not None:
+                return (l, b0)
+    return None
+
+
+@pytest.mark.parametrize("l_max", [1, 3, 8, 21])
+def test_cover_witness_matches_search_oracle(l_max):
+    box = [nu for nu in product(range(-2, 3), repeat=6)
+           if (nu[2] - nu[3]) % 2 == 0]
+    assert len(box) == 8125
+    found = 0
+    for nu in box:
+        want = oracle_cover_witness(nu, l_max)
+        assert ch.cover_witness(nu, l_max) == want, nu
+        found += want is not None
+    # l_max = 1 leaves most of the box uncovered; 21 covers all of it
+    assert 0 < found <= len(box)
+    assert (found == len(box)) == (l_max == 21)
+
+
+def test_cover_witness_rejects_odd_parity():
+    for nu in product(range(-1, 2), repeat=6):
+        if (nu[2] - nu[3]) % 2:
+            assert ch.cover_witness(nu, 8) is None
+            assert oracle_cover_witness(nu, 8) is None

@@ -236,6 +236,15 @@ def test_laurent_ring():
     assert p.subst(Fraction(1), (Fraction(3), Fraction(2))) == Fraction(25, 4)
 
 
+def test_qrat_times_laurent_is_the_scalar_product():
+    z = lp2_poly_z([1, 2])
+    c = QRat((1, 1), (0, 0, 3))
+    assert isinstance(c * z, Laurent)
+    assert c * z == z * c
+    assert (c * z).terms == {e: v * c for e, v in z.terms.items()}
+    assert QR_ZERO * z == Laurent(2)
+
+
 def test_solve_linear_unique():
     one, zero = QR_ONE, QR_ZERO
     q = QRat((0, 1))

@@ -57,10 +57,9 @@ def test_projections_resolve_identity(comps):
         assert any(proj)
         for n, col in enumerate(proj):
             for row, c in col.items():
-                total[n][row] = total[n].get(row, Laurent(2)) + c
-    one = Laurent.const(2, QR_ONE)
+                total[n][row] = total[n].get(row, QR_ZERO) + c
     assert [{row: c for row, c in col.items() if c} for col in total] == [
-        {n: one} for n in range(rm.N)]
+        {n: QR_ONE} for n in range(rm.N)]
 
 
 IOTA_PAIRS = [("L1_1", "L1_2"), ("L1_1", "L1_3"), ("0_1", "0_2")]
@@ -289,8 +288,8 @@ def test_build_R_matches_projection_oracle(rep, comps, R):
 def test_oracle_projections_are_the_frame_projections(comps):
     want = oracle_build_projections(comps)
     for label, got in frame_projections(comps).items():
-        assert got == [{row: Laurent.const(2, c) for row, c in enumerate(col)
-                        if c} for col in want[label]]
+        assert got == [{row: c for row, c in enumerate(col) if c}
+                       for col in want[label]]
 
 
 # ---------------------------------------------------------------------------

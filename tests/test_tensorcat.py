@@ -1,4 +1,4 @@
-"""Tensor products, shifts, connectivity and graph export."""
+"""Tensor products, connectivity and graph export."""
 
 import pytest
 
@@ -86,20 +86,6 @@ def test_walk_reaches_vacuum_from_everywhere(l):
             assert t.op("f", color, cur) == nxt
             cur = nxt
         assert cur == (tc.PHI, tc.PHI)
-
-
-def test_shift_crystal_statistics():
-    c = tc.level_crystal(1)
-    lam = (1, 0, 0)
-    mu = (0, 1, 0)
-    s = tc.shift_crystal(lam, mu, c)
-    b = tc.PHI
-    assert s.eps(0, b) == c.eps(0, b) - 1
-    assert s.eps(1, b) == c.eps(1, b)
-    assert s.phi(1, b) == c.phi(1, b) + 1
-    assert s.wt(b) == (1, 1, 0)
-    # arrows are untouched
-    assert s.op("f", 0, b) == c.op("f", 0, b)
 
 
 def test_graph_edges_level1():
