@@ -183,9 +183,7 @@ def _verify_coherent(args):
 
 def _verify_relations(args):
     from . import fundrep as fr
-    rep = fr.build_v1()
-    rels = fr.check_defining_relations(rep)
-    return {k: v for k, v in rels.items()}
+    return fr.check_defining_relations(fr.build_v1())
 
 
 def cmd_verify(args):

@@ -36,7 +36,9 @@ def verify_embedding(l, b0):
     The shifted crystal T_lam (x) B_l (x) T_-mu, with lam = eps(b0) and
     mu = phi(b0), has the arrows of B_l and the statistics eps - lam,
     phi - mu and wt + lam - mu; these must be the limit crystal's at the
-    image of each element."""
+    image of each element.  The weight needs no check of its own: af.weight
+    is phi - eps in every level context, so matching eps and phi match
+    wt + lam - mu = (phi - mu) - (eps - lam) as well."""
     if b0 not in minimal_elements(l):
         raise ValueError(f"{b0} is not minimal in B_{l}")
     ctx = af.LevelCtx.finite(l)
@@ -61,9 +63,6 @@ def verify_embedding(l, b0):
                         kind, i, nu, af.FREE):
                     return {"status": "fail", "element": b, "color": i,
                             "reason": kind}
-        wt = tuple(w + a - m for w, a, m in zip(af.weight(b, ctx), lam, mu))
-        if wt != af.weight(nu, af.FREE):
-            return {"status": "fail", "element": b, "reason": "weight"}
     if f_embed(l, b0, b0) != B_INF:
         return {"status": "fail", "reason": "b0 does not map to the origin"}
     return {"status": "pass", "elements": len(images)}

@@ -1,5 +1,6 @@
 """Exact arithmetic kernel: rational functions in q, sparse Laurent
-polynomials in spectral variables, and dense linear algebra over them.
+polynomials in spectral variables, dense linear algebra over them and the
+product of sparse column matrices.
 
 Integer polynomials in q are plain tuples of ints, low degree first, with
 no trailing zeros; () is the zero polynomial.  The polynomial kernel is
@@ -498,7 +499,7 @@ def lp2_poly_z(coeffs):
 
 
 # ---------------------------------------------------------------------------
-# dense exact linear algebra (generic over any exact field element type)
+# exact linear algebra (generic over any exact field element type)
 
 
 class LinearSolution:
@@ -581,4 +582,24 @@ def mat_mul(a, b, zero):
                     acc = acc + v * b[t][j]
             row.append(acc)
         out.append(row)
+    return out
+
+
+def sparse_mul(a_cols, b_cols):
+    """(a . b) as sparse columns: apply b first, then a.  Entries may be
+    ints, Fractions, QRats or Laurents (a QRat times a Laurent is a
+    Laurent); an entry that cancels to zero is dropped."""
+    out = []
+    for col in b_cols:
+        acc = {}
+        for mid, c in col.items():
+            for row, c2 in a_cols[mid].items():
+                p = c2 * c
+                cur = acc.get(row)
+                s = p if cur is None else cur + p
+                if s:
+                    acc[row] = s
+                elif cur is not None:
+                    del acc[row]
+        out.append(acc)
     return out

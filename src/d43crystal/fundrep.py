@@ -1,14 +1,21 @@
 """The 8-dimensional fundamental module V1, its defining-relation checks,
-the polarization, the spectral coproduct action on V1_x (x) V1_y, and the
-highest weight vectors of the tensor square with their lowering identities.
+the polarization, the spectral coproduct on V1_x (x) V1_y, and the highest
+weight vectors of the tensor square with their lowering identities.
 
 Basis order is (v1, v2, v3, v0, v3b, v2b, v1b, vphi), indices 0..7.
-Matrices are 8x8 lists of QRat with M[row][col]; columns are sources.
+
+There are two formats.  On V1 the generators are dense 8x8 lists of QRat
+with M[row][col]; columns are sources.  On V1_x (x) V1_y, v_a (x) v_b has
+the flat index 8a + b, and both vectors and matrices are sparse: a vector
+is a dict {8a+b: entry}, a matrix a list of 64 such columns, multiplied by
+exactalg.sparse_mul.  Entries are QRat, except where the spectral variables
+enter: Delta(e_0) and Delta(f_0) have Laurent entries in (x, y), and so
+does every vector that one of them has acted on.
 """
 
 from .exactalg import (
-    Laurent, QRat, QR_ZERO, QR_ONE, Q_POW, mat_mul, q_factorial, q_int,
-    q_power, solve_linear,
+    Laurent, QR_ZERO, QR_ONE, Q_POW, mat_mul, q_factorial, q_int, q_power,
+    solve_linear, sparse_mul,
 )
 
 DIM = 8
@@ -44,9 +51,6 @@ class Rep8:
         self.E = E
         self.F = F
         self.weights = weights
-        self.T = []
-        for i in range(3):
-            self.T.append([qi_power(i, w[i]) for w in weights])
 
     def t_matrix(self, i, power=1):
         m = _zeros()
@@ -165,10 +169,6 @@ def check_defining_relations(rep):
             if i != j:
                 out[f"serre_e({i},{j})"] = _is_zero(_serre_sum(rep, rep.E, i, j))
                 out[f"serre_f({i},{j})"] = _is_zero(_serre_sum(rep, rep.F, i, j))
-    for i in range(3):
-        for k in range(DIM):
-            if rep.T[i][k] != qi_power(i, rep.weights[k][i]):
-                out[f"t{i}_weight_{k}"] = False
     return out
 
 
@@ -261,90 +261,51 @@ def check_polarization(rep, gram):
 
 
 # ---------------------------------------------------------------------------
-# spectral coproduct action on V1_x (x) V1_y
-#
-# Vectors are dicts (a, b) -> Laurent in (x, y); e_0 carries the spectral
-# variable of its factor, f_0 its inverse; e_1, e_2, f_1, f_2 are unscaled.
+# spectral coproduct on V1_x (x) V1_y
 
 
-def _spectral(i, factor, lowering):
-    """Monomial carried by the index-0 operators; factor 0 is x, 1 is y."""
-    if i != 0:
-        return None
-    e = [0, 0]
-    e[factor] = -1 if lowering else 1
-    return Laurent.mono(tuple(e))
+def coproduct(rep, kind, i, swapped=False):
+    """Delta(g) for g = e_i, f_i or t_i (kind "e", "f" or "t") on
+    V1_x (x) V1_y, as 64 sparse columns {8a+b: entry}:
+
+        Delta(e_i) = e_i (x) t_i^-1 + 1 (x) e_i,
+        Delta(f_i) = f_i (x) 1 + t_i (x) f_i,
+        Delta(t_i) = t_i (x) t_i.
+
+    e_0 carries the spectral variable of the factor it acts on and f_0 its
+    inverse, so their entries are Laurent in (x, y); all other entries are
+    QRat.  With swapped=True the first factor carries y and the second x."""
+    w = rep.weights
+    if kind == "t":
+        return [{k: qi_power(i, w[k // DIM][i] + w[k % DIM][i])}
+                for k in range(DIM * DIM)]
+    mat = (rep.E if kind == "e" else rep.F)[i]
+    if i == 0:
+        s = 1 if kind == "e" else -1
+        mx, my = Laurent.mono((s, 0)), Laurent.mono((0, s))
+        m1, m2 = (my, mx) if swapped else (mx, my)
+    cols = []
+    for a in range(DIM):
+        for b in range(DIM):
+            if kind == "e":
+                c1, c2 = qi_power(i, -w[b][i]), QR_ONE
+            else:
+                c1, c2 = QR_ONE, qi_power(i, w[a][i])
+            if i == 0:
+                c1, c2 = c1 * m1, c2 * m2
+            # e_i and f_i have no diagonal entries, so the two terms
+            # never share a row
+            col = {DIM * r + b: mat[r][a] * c1
+                   for r in range(DIM) if mat[r][a]}
+            col.update((DIM * a + r, mat[r][b] * c2)
+                       for r in range(DIM) if mat[r][b])
+            cols.append(col)
+    return cols
 
 
-def _add_term(acc, key, coeff):
-    cur = acc.get(key)
-    s = coeff if cur is None else cur + coeff
-    if s:
-        acc[key] = s
-    elif cur is not None:
-        del acc[key]
-
-
-def act_e(rep, i, vec, swapped=False):
-    """Delta(e_i) = e_i (x) t_i^-1 + 1 (x) e_i on V1_x (x) V1_y; with
-    swapped=True the first factor carries y and the second x."""
-    first, second = (1, 0) if swapped else (0, 1)
-    out = {}
-    for (a, b), c in vec.items():
-        mono = _spectral(i, first, False)
-        tcoef = qi_power(i, -rep.weights[b][i])
-        for r in range(DIM):
-            ent = rep.E[i][r][a]
-            if ent:
-                coeff = c * (ent * tcoef)
-                if mono is not None:
-                    coeff = coeff * mono
-                _add_term(out, (r, b), coeff)
-        mono = _spectral(i, second, False)
-        for r in range(DIM):
-            ent = rep.E[i][r][b]
-            if ent:
-                coeff = c * ent
-                if mono is not None:
-                    coeff = coeff * mono
-                _add_term(out, (a, r), coeff)
-    return out
-
-
-def act_f(rep, i, vec, swapped=False):
-    """Delta(f_i) = f_i (x) 1 + t_i (x) f_i."""
-    first, second = (1, 0) if swapped else (0, 1)
-    out = {}
-    for (a, b), c in vec.items():
-        mono = _spectral(i, first, True)
-        for r in range(DIM):
-            ent = rep.F[i][r][a]
-            if ent:
-                coeff = c * ent
-                if mono is not None:
-                    coeff = coeff * mono
-                _add_term(out, (r, b), coeff)
-        mono = _spectral(i, second, True)
-        tcoef = qi_power(i, rep.weights[a][i])
-        for r in range(DIM):
-            ent = rep.F[i][r][b]
-            if ent:
-                coeff = c * (ent * tcoef)
-                if mono is not None:
-                    coeff = coeff * mono
-                _add_term(out, (a, r), coeff)
-    return out
-
-
-def act_t(rep, i, vec):
-    out = {}
-    for (a, b), c in vec.items():
-        out[(a, b)] = c * qi_power(i, rep.weights[a][i] + rep.weights[b][i])
-    return out
-
-
-def tensor_weight(key):
-    a, b = key
+def tensor_weight(k):
+    """Weight of v_a (x) v_b, k = 8a + b."""
+    a, b = divmod(k, DIM)
     return tuple(x + y for x, y in zip(WEIGHTS[a], WEIGHTS[b]))
 
 
@@ -352,39 +313,34 @@ def tensor_weight(key):
 # highest weight vectors of the tensor square
 
 
-def _lp(c):
-    """Lift an int or QRat to a constant Laurent in (x, y)."""
-    if isinstance(c, int):
-        c = QRat(c)
-    return Laurent.const(2, c)
-
-
 def highest_vectors():
-    """The seven G2-highest vectors, keyed by component label."""
+    """The seven G2-highest vectors, keyed by component label, as QRat
+    columns {8a+b: entry}."""
     q = q_power
     two = q_int(2)
     u = {}
-    u["2L1"] = {(0, 0): _lp(1)}
-    u["L2"] = {(0, 1): _lp(1), (1, 0): _lp(-q(1))}
-    u["L1_1"] = {(0, 7): _lp(1)}
-    u["L1_2"] = {(7, 0): _lp(1)}
+    u["2L1"] = {(0, 0): QR_ONE}
+    u["L2"] = {(0, 1): QR_ONE, (1, 0): -q(1)}
+    u["L1_1"] = {(0, 7): QR_ONE}
+    u["L1_2"] = {(7, 0): QR_ONE}
     u["L1_3"] = {
-        (0, 3): _lp(1),
-        (3, 0): _lp(-q(6)),
-        (1, 2): _lp(-(q(2) * two)),
-        (2, 1): _lp(q(5) * two),
+        (0, 3): QR_ONE,
+        (3, 0): -q(6),
+        (1, 2): -(q(2) * two),
+        (2, 1): q(5) * two,
     }
-    u["0_1"] = {(7, 7): _lp(1)}
+    u["0_1"] = {(7, 7): QR_ONE}
     u["0_2"] = {
-        (0, 6): _lp(1),
-        (6, 0): _lp(q(10)),
-        (1, 5): _lp(-q(1)),
-        (5, 1): _lp(-q(9)),
-        (2, 4): _lp(q(4)),
-        (4, 2): _lp(q(6)),
-        (3, 3): _lp(-(q(4) / two)),
+        (0, 6): QR_ONE,
+        (6, 0): q(10),
+        (1, 5): -q(1),
+        (5, 1): -q(9),
+        (2, 4): q(4),
+        (4, 2): q(6),
+        (3, 3): -(q(4) / two),
     }
-    return u
+    return {label: {DIM * a + b: c for (a, b), c in vec.items()}
+            for label, vec in u.items()}
 
 
 HW_ORDER = ("2L1", "L2", "L1_1", "L1_2", "L1_3", "0_1", "0_2")
@@ -394,29 +350,6 @@ HW_WEIGHTS = {
     "2L1": (-4, 2, 0), "L2": (-3, 0, 1), "L1_1": (-2, 1, 0),
     "L1_2": (-2, 1, 0), "L1_3": (-2, 1, 0), "0_1": (0, 0, 0), "0_2": (0, 0, 0),
 }
-
-
-def vec_sub(a, b):
-    out = dict(a)
-    for k, c in b.items():
-        _add_term(out, k, -c)
-    return out
-
-
-def vec_scale(a, s):
-    out = {}
-    for k, c in a.items():
-        p = c * s
-        if p:
-            out[k] = p
-    return out
-
-
-def apply_f_word(rep, word, vec):
-    """Apply Delta(f_i) for i in word, rightmost first (operator order)."""
-    for i in reversed(word):
-        vec = act_f(rep, i, vec)
-    return vec
 
 
 def lowering_identities():
@@ -431,7 +364,7 @@ def lowering_identities():
     iXY = iX * iY
 
     def c(v):
-        return _lp(v)
+        return Laurent.const(2, v)
 
     ids = [
         ([0, 1, 2], "L2", c(q(-1)) * iXY * (X - c(q(2)) * Y)),
@@ -470,12 +403,14 @@ def verify_lowering_identities(rep=None):
     if rep is None:
         rep = build_v1()
     hw = highest_vectors()
-    u_top = hw["2L1"]
+    lower = [coproduct(rep, "f", i) for i in range(3)]
     out = {}
     for k, (word, label, scalar) in enumerate(lowering_identities(), 1):
-        lhs = apply_f_word(rep, word, hw[label])
-        rhs = vec_scale(u_top, scalar)
-        out[k] = not vec_sub(lhs, rhs)
+        vec = hw[label]
+        for i in reversed(word):  # operator order: rightmost acts first
+            vec = sparse_mul(lower[i], [vec])[0]
+        # u_2L1 is v1 (x) v1, flat index 0
+        out[k] = vec == {0: scalar}
     return out
 
 
@@ -484,10 +419,10 @@ def verify_highest(rep=None):
     weight matches the component label."""
     if rep is None:
         rep = build_v1()
+    raising = [coproduct(rep, "e", i) for i in (1, 2)]
     for label, vec in highest_vectors().items():
-        for i in (1, 2):
-            if act_e(rep, i, vec):
-                return False
+        if any(sparse_mul(e, [vec])[0] for e in raising):
+            return False
         want = HW_WEIGHTS[label]
         for key in vec:
             if tensor_weight(key) != want:

@@ -2,16 +2,17 @@
 frame, the coefficient matrices, and the verification suite
 (intertwining, determinant identities, vacuum eigenvalue, Yang-Baxter).
 
-The 64 tensor basis vectors are indexed by pairs (a, b), a, b in 0..7,
-flattened as 8*a + b.  R entries are Laurent polynomials in (x, y) that
-only involve the ratio z = x/y.
+The 64 tensor basis vectors v_a (x) v_b are indexed by 8*a + b, and every
+vector and matrix on the tensor square is in fundrep's sparse column
+format.  R entries are Laurent polynomials in (x, y) that only involve the
+ratio z = x/y.
 """
 
 from fractions import Fraction
 from math import lcm
 
 from .exactalg import (
-    Laurent, QR_ZERO, QR_ONE, lp2_poly_z, q_power, solve_linear,
+    Laurent, QR_ZERO, QR_ONE, lp2_poly_z, q_power, solve_linear, sparse_mul,
 )
 from . import fundrep as fr
 
@@ -21,84 +22,63 @@ EXPECTED_DIMS = {"2L1": 27, "L2": 14, "L1_1": 7, "L1_2": 7, "L1_3": 7,
                  "0_1": 1, "0_2": 1}
 
 
-def flat(key):
-    return key[0] * 8 + key[1]
-
-
-def _vec_to_qrat(vec):
-    """Convert a constant Laurent-coefficient vector to a dense QRat column."""
-    col = [QR_ZERO] * N
-    for key, c in vec.items():
-        terms = c.terms
-        if not terms:
-            continue
-        ((e, coeff),) = terms.items()
-        if e != (0, 0):
-            raise ValueError("vector has spectral dependence")
-        col[flat(key)] = coeff
-    return col
-
-
 class _Echelon:
-    """Incremental row reduction over QRat for membership tests."""
+    """Incremental row reduction of sparse QRat columns for membership
+    tests; each reduced row has its pivot at its lowest key."""
 
     def __init__(self):
         self.rows = []  # (pivot index, reduced row)
 
-    def reduce(self, col):
-        col = list(col)
-        for piv, row in self.rows:
-            c = col[piv]
-            if c:
-                for k in range(N):
-                    if row[k]:
-                        col[k] = col[k] - c * row[k]
-        return col
-
     def add(self, col):
         """Reduce col; if independent, insert and return True."""
-        col = self.reduce(col)
-        piv = next((k for k, c in enumerate(col) if c), None)
-        if piv is None:
+        col = dict(col)
+        for piv, row in self.rows:
+            c = col.get(piv)
+            if c:
+                for k, v in row.items():
+                    s = col[k] - c * v if k in col else -(c * v)
+                    if s:
+                        col[k] = s
+                    else:
+                        del col[k]
+        if not col:
             return False
+        piv = min(col)
         inv = QR_ONE / col[piv]
-        col = [c * inv for c in col]
-        self.rows.append((piv, col))
+        self.rows.append((piv, {k: c * inv for k, c in col.items()}))
         return True
 
 
 def build_components(rep=None):
     """Close each highest weight vector under Delta(f_1), Delta(f_2).
 
-    Returns an ordered dict label -> list of QRat basis columns.  The three
-    7-dimensional components and the two trivial ones use identical lowering
-    words (recorded from the first of each group) so that the identification
-    maps are basis-aligned.
+    Returns an ordered dict label -> list of sparse QRat basis columns.  The
+    three 7-dimensional components and the two trivial ones use identical
+    lowering words (recorded from the first of each group) so that the
+    identification maps are basis-aligned.
     """
     if rep is None:
         rep = fr.build_v1()
     hw = fr.highest_vectors()
+    lower = {i: fr.coproduct(rep, "f", i) for i in (1, 2)}
 
     def closure_words(label):
         """BFS lowering words that extend the span, starting from []."""
         ech = _Echelon()
-        start = _vec_to_qrat(hw[label])
+        start = hw[label]
         ech.add(start)
         words = [()]
         basis_vecs = [start]
-        frontier = [(hw[label], ())]
+        frontier = [(start, ())]
         while frontier:
             nxt = []
             for vec, word in frontier:
                 for i in (1, 2):
-                    nv = fr.act_f(rep, i, vec)
-                    if not nv:
-                        continue
-                    col = _vec_to_qrat(nv)
-                    if ech.add(col):
+                    nv = sparse_mul(lower[i], [vec])[0]
+                    if nv and ech.add(nv):
                         w = word + (i,)
                         words.append(w)
-                        basis_vecs.append(col)
+                        basis_vecs.append(nv)
                         nxt.append((nv, w))
             frontier = nxt
         return words, basis_vecs
@@ -108,8 +88,8 @@ def build_components(rep=None):
         for w in words:
             vec = hw[label]
             for i in w:
-                vec = fr.act_f(rep, i, vec)
-            out.append(_vec_to_qrat(vec))
+                vec = sparse_mul(lower[i], [vec])[0]
+            out.append(vec)
         return out
 
     comps = {}
@@ -118,8 +98,8 @@ def build_components(rep=None):
     words_l1, comps["L1_1"] = closure_words("L1_1")
     comps["L1_2"] = apply_words("L1_2", words_l1)
     comps["L1_3"] = apply_words("L1_3", words_l1)
-    comps["0_1"] = [_vec_to_qrat(hw["0_1"])]
-    comps["0_2"] = [_vec_to_qrat(hw["0_2"])]
+    comps["0_1"] = [hw["0_1"]]
+    comps["0_2"] = [hw["0_2"]]
 
     for label, basis in comps.items():
         if len(basis) != EXPECTED_DIMS[label]:
@@ -134,9 +114,8 @@ def build_components(rep=None):
 
 
 def _frame_cols(comps):
-    """B: the component basis vectors in HW_ORDER, as sparse QRat columns."""
-    return [{k: c for k, c in enumerate(col) if c}
-            for label in fr.HW_ORDER for col in comps[label]]
+    """B: the component basis vectors in HW_ORDER."""
+    return [col for label in fr.HW_ORDER for col in comps[label]]
 
 
 def component_coords(comps):
@@ -145,12 +124,11 @@ def component_coords(comps):
     weight block by weight block."""
     blocks = {}
     for k in range(N):
-        blocks.setdefault(fr.tensor_weight(divmod(k, 8)), []).append(k)
+        blocks.setdefault(fr.tensor_weight(k), []).append(k)
     members = {}
-    frame = [col for label in fr.HW_ORDER for col in comps[label]]
+    frame = _frame_cols(comps)
     for j, col in enumerate(frame):
-        k = next(k for k, c in enumerate(col) if c)
-        members.setdefault(fr.tensor_weight(divmod(k, 8)), []).append(j)
+        members.setdefault(fr.tensor_weight(min(col)), []).append(j)
     inv = [None] * N
     for w, idxs in blocks.items():
         js = members.get(w, [])
@@ -158,7 +136,7 @@ def component_coords(comps):
             raise ArithmeticError(
                 f"weight block {w}: {len(js)} basis vectors for "
                 f"{len(idxs)} coordinates")
-        rows = [[frame[j][k] for j in js] for k in idxs]
+        rows = [[frame[j].get(k, QR_ZERO) for j in js] for k in idxs]
         for k in idxs:
             rhs = [QR_ONE if kk == k else QR_ZERO for kk in idxs]
             sol = solve_linear(rows, rhs, QR_ZERO, QR_ONE)
@@ -188,12 +166,12 @@ def verify_iota(rep, comps, pairs):
     word-independence of the iota maps; on every other component both
     sides vanish."""
     frame, inv = _frame_cols(comps), component_coords(comps)
-    lower = [_act_matrix(rep, "f", i, swapped=False) for i in (1, 2)]
+    lower = [fr.coproduct(rep, "f", i) for i in (1, 2)]
     for src, dst in pairs:
-        T = _sparse_mul(frame, _sparse_mul(
+        T = sparse_mul(frame, sparse_mul(
             _block_cols(comps, {(src, dst): QR_ONE}), inv))
         for f in lower:
-            if not _sparse_eq(_sparse_mul(T, f), _sparse_mul(f, T)):
+            if not _sparse_eq(sparse_mul(T, f), sparse_mul(f, T)):
                 return False
     return True
 
@@ -305,48 +283,13 @@ def build_R(rep=None, comps=None):
         rep = fr.build_v1()
     if comps is None:
         comps = build_components(rep)
-    a_inv = _sparse_mul(_block_cols(comps, _coefficients()),
-                        component_coords(comps))
-    return RMatrix(_sparse_mul(_frame_cols(comps), a_inv))
+    a_inv = sparse_mul(_block_cols(comps, _coefficients()),
+                       component_coords(comps))
+    return RMatrix(sparse_mul(_frame_cols(comps), a_inv))
 
 
 # ---------------------------------------------------------------------------
 # verification
-
-
-def _act_matrix(rep, kind, i, swapped):
-    """Sparse columns of the coproduct action of a generator."""
-    cols = []
-    for k in range(N):
-        vec = {divmod(k, 8): Laurent.const(2, QR_ONE)}
-        if kind == "e":
-            out = fr.act_e(rep, i, vec, swapped=swapped)
-        elif kind == "f":
-            out = fr.act_f(rep, i, vec, swapped=swapped)
-        else:
-            out = fr.act_t(rep, i, vec)
-        cols.append({flat(key): c for key, c in out.items() if c})
-    return cols
-
-
-def _sparse_mul(a_cols, b_cols):
-    """(a . b) as sparse columns: apply b first, then a.  Entries may be
-    ints, Fractions, QRats or Laurents (a QRat times a Laurent is a
-    Laurent); an entry that cancels to zero is dropped."""
-    out = []
-    for col in b_cols:
-        acc = {}
-        for mid, c in col.items():
-            for row, c2 in a_cols[mid].items():
-                p = c2 * c
-                cur = acc.get(row)
-                s = p if cur is None else cur + p
-                if s:
-                    acc[row] = s
-                elif cur is not None:
-                    del acc[row]
-        out.append(acc)
-    return out
 
 
 def _sparse_eq(a_cols, b_cols):
@@ -360,10 +303,10 @@ def verify_intertwiner(R, rep=None):
     out = {}
     for kind in ("e", "f", "t"):
         for i in range(3):
-            a = _act_matrix(rep, kind, i, swapped=False)
-            b = _act_matrix(rep, kind, i, swapped=True)
+            a = fr.coproduct(rep, kind, i)
+            b = fr.coproduct(rep, kind, i, swapped=True)
             out[f"{kind}{i}"] = _sparse_eq(
-                _sparse_mul(R.cols, a), _sparse_mul(b, R.cols))
+                sparse_mul(R.cols, a), sparse_mul(b, R.cols))
     return out
 
 
@@ -418,7 +361,7 @@ def verify_determinants():
 
 def verify_R_Rswap_scalar(R):
     """R(x,y) R(y,x) is a scalar multiple of the identity."""
-    prod = _sparse_mul(R.cols, R.swapped().cols)
+    prod = sparse_mul(R.cols, R.swapped().cols)
     scalar = prod[0].get(0)
     if scalar is None:
         return False
@@ -502,8 +445,8 @@ def yang_baxter_residual(R, qval, xv, yv, zv):
     rxy = _eval_int(R, at_q, xv, yv)
     rxz = _eval_int(R, at_q, xv, zv)
     ryz = _eval_int(R, at_q, yv, zv)
-    lhs = _sparse_mul(_lift12(ryz), _sparse_mul(_lift23(rxz), _lift12(rxy)))
-    rhs = _sparse_mul(_lift23(rxy), _sparse_mul(_lift12(rxz), _lift23(ryz)))
+    lhs = sparse_mul(_lift12(ryz), sparse_mul(_lift23(rxz), _lift12(rxy)))
+    rhs = sparse_mul(_lift23(rxy), sparse_mul(_lift12(rxz), _lift23(ryz)))
     bad = 0
     for cl, cr in zip(lhs, rhs):
         keys = set(cl) | set(cr)
@@ -574,6 +517,6 @@ def verify_yang_baxter_symbolic(R=None):
     rxy23 = _symbolic_cols(R, (0, 1), _lift23)
     rxz12 = _symbolic_cols(R, (0, 2), _lift12)
     ryz23 = _symbolic_cols(R, (1, 2), _lift23)
-    lhs = _sparse_mul(ryz12, _sparse_mul(rxz23, rxy12))
-    rhs = _sparse_mul(rxy23, _sparse_mul(rxz12, ryz23))
+    lhs = sparse_mul(ryz12, sparse_mul(rxz23, rxy12))
+    rhs = sparse_mul(rxy23, sparse_mul(rxz12, ryz23))
     return _sparse_eq(lhs, rhs)

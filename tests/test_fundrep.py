@@ -6,7 +6,10 @@ from fractions import Fraction
 import pytest
 
 from d43crystal import fundrep as fr
-from d43crystal.exactalg import QR_ONE, QR_ZERO, q_int, q_power
+from d43crystal.exactalg import (
+    Laurent, QR_ONE, QR_ZERO, q_int, q_power, sparse_mul,
+)
+from d43crystal.fundrep import DIM, qi_power
 
 
 @pytest.fixture(scope="module")
@@ -74,21 +77,165 @@ def test_lowering_identities(rep):
     assert not bad, bad
 
 
+def _apply(mat, vec):
+    return sparse_mul(mat, [vec])[0]
+
+
 def test_spectral_action_shapes(rep):
     hw = fr.highest_vectors()
+    f0, e0 = fr.coproduct(rep, "f", 0), fr.coproduct(rep, "e", 0)
     # Delta(f_0) of the vacuum-component vector stays weight homogeneous
-    v = fr.act_f(rep, 0, hw["0_1"])
+    v = _apply(f0, hw["0_1"])
     wts = {fr.tensor_weight(k) for k in v}
     assert len(wts) == 1
     # e after f lands back in the original weight space
-    w = fr.act_e(rep, 0, fr.act_f(rep, 0, hw["L1_1"]))
-    assert {fr.tensor_weight(k) for k in w} <= {fr.tensor_weight((0, 7))}
+    w = _apply(e0, _apply(f0, hw["L1_1"]))
+    assert {fr.tensor_weight(k) for k in w} <= {fr.tensor_weight(7)}
 
 
 def test_spectral_substitution(rep):
     # spectral exponents substitute consistently to exact rationals
     hw = fr.highest_vectors()
-    v = fr.act_f(rep, 0, hw["2L1"])
+    v = _apply(fr.coproduct(rep, "f", 0), hw["2L1"])
     qv, xv, yv = Fraction(2), Fraction(3), Fraction(5, 2)
     for coeff in v.values():
         coeff.subst(qv, (xv, yv))
+
+
+# ---------------------------------------------------------------------------
+# the earlier dict-vector action of the coproduct, kept as a test-only
+# oracle for fr.coproduct
+#
+# Vectors are dicts (a, b) -> Laurent in (x, y); e_0 carries the spectral
+# variable of its factor, f_0 its inverse; e_1, e_2, f_1, f_2 are unscaled.
+
+
+def _spectral(i, factor, lowering):
+    """Monomial carried by the index-0 operators; factor 0 is x, 1 is y."""
+    if i != 0:
+        return None
+    e = [0, 0]
+    e[factor] = -1 if lowering else 1
+    return Laurent.mono(tuple(e))
+
+
+def _add_term(acc, key, coeff):
+    cur = acc.get(key)
+    s = coeff if cur is None else cur + coeff
+    if s:
+        acc[key] = s
+    elif cur is not None:
+        del acc[key]
+
+
+def act_e(rep, i, vec, swapped=False):
+    """Delta(e_i) = e_i (x) t_i^-1 + 1 (x) e_i on V1_x (x) V1_y; with
+    swapped=True the first factor carries y and the second x."""
+    first, second = (1, 0) if swapped else (0, 1)
+    out = {}
+    for (a, b), c in vec.items():
+        mono = _spectral(i, first, False)
+        tcoef = qi_power(i, -rep.weights[b][i])
+        for r in range(DIM):
+            ent = rep.E[i][r][a]
+            if ent:
+                coeff = c * (ent * tcoef)
+                if mono is not None:
+                    coeff = coeff * mono
+                _add_term(out, (r, b), coeff)
+        mono = _spectral(i, second, False)
+        for r in range(DIM):
+            ent = rep.E[i][r][b]
+            if ent:
+                coeff = c * ent
+                if mono is not None:
+                    coeff = coeff * mono
+                _add_term(out, (a, r), coeff)
+    return out
+
+
+def act_f(rep, i, vec, swapped=False):
+    """Delta(f_i) = f_i (x) 1 + t_i (x) f_i."""
+    first, second = (1, 0) if swapped else (0, 1)
+    out = {}
+    for (a, b), c in vec.items():
+        mono = _spectral(i, first, True)
+        for r in range(DIM):
+            ent = rep.F[i][r][a]
+            if ent:
+                coeff = c * ent
+                if mono is not None:
+                    coeff = coeff * mono
+                _add_term(out, (r, b), coeff)
+        mono = _spectral(i, second, True)
+        tcoef = qi_power(i, rep.weights[a][i])
+        for r in range(DIM):
+            ent = rep.F[i][r][b]
+            if ent:
+                coeff = c * (ent * tcoef)
+                if mono is not None:
+                    coeff = coeff * mono
+                _add_term(out, (a, r), coeff)
+    return out
+
+
+def act_t(rep, i, vec):
+    out = {}
+    for (a, b), c in vec.items():
+        out[(a, b)] = c * qi_power(i, rep.weights[a][i] + rep.weights[b][i])
+    return out
+
+
+def _laurent_cols(cols):
+    """Lift QRat entries to constant Laurents, so that they compare with
+    (and add to) the Laurent entries of the index-0 generators."""
+    return [{k: c if isinstance(c, Laurent) else Laurent.const(2, c)
+             for k, c in col.items()} for col in cols]
+
+
+@pytest.mark.parametrize("swapped", [False, True])
+@pytest.mark.parametrize("kind", ["e", "f", "t"])
+@pytest.mark.parametrize("i", range(3))
+def test_coproduct_matches_dict_action(rep, kind, i, swapped):
+    got = _laurent_cols(fr.coproduct(rep, kind, i, swapped))
+    assert len(got) == DIM * DIM
+    for k in range(DIM * DIM):
+        vec = {divmod(k, DIM): Laurent.const(2, QR_ONE)}
+        if kind == "e":
+            out = act_e(rep, i, vec, swapped=swapped)
+        elif kind == "f":
+            out = act_f(rep, i, vec, swapped=swapped)
+        else:
+            out = act_t(rep, i, vec)
+        assert got[k] == {DIM * a + b: c for (a, b), c in out.items()}, k
+
+
+def _sub(a, b):
+    """a - b for sparse columns whose entries are all of one type."""
+    out = [dict(col) for col in a]
+    for col, bcol in zip(out, b):
+        for k, c in bcol.items():
+            s = col[k] - c if k in col else -c
+            if s:
+                col[k] = s
+            else:
+                del col[k]
+    return out
+
+
+@pytest.mark.parametrize("swapped", [False, True])
+def test_coproduct_is_a_homomorphism(rep, swapped):
+    # [Delta e_i, Delta f_j] = delta_ij (Delta t_i - Delta t_i^-1)
+    # / (q_i - q_i^-1): the spectral monomials of e_0 and f_0 cancel
+    e = [_laurent_cols(fr.coproduct(rep, "e", i, swapped)) for i in range(3)]
+    f = [_laurent_cols(fr.coproduct(rep, "f", i, swapped)) for i in range(3)]
+    for i in range(3):
+        t = fr.coproduct(rep, "t", i, swapped)
+        t_inv = [{k: c.inv() for k, c in col.items()} for col in t]
+        rhs = _laurent_cols(_sub(t, t_inv))
+        rhs = [{k: c * (QR_ONE / (qi_power(i, 1) - qi_power(i, -1)))
+                for k, c in col.items()} for col in rhs]
+        for j in range(3):
+            comm = _sub(sparse_mul(e[i], f[j]), sparse_mul(f[j], e[i]))
+            want = rhs if i == j else [{} for _ in range(DIM * DIM)]
+            assert comm == want, (i, j)

@@ -46,7 +46,7 @@ def frame_projections(comps):
     """label -> T_{label<-label} = B . E_{label<-label} . B^-1, the
     projection onto the component along the others, as sparse columns."""
     frame, inv = rm._frame_cols(comps), rm.component_coords(comps)
-    return {label: rm._sparse_mul(frame, rm._sparse_mul(
+    return {label: rm.sparse_mul(frame, rm.sparse_mul(
         rm._block_cols(comps, {(label, label): QR_ONE}), inv))
         for label in fr.HW_ORDER}
 
@@ -78,18 +78,19 @@ def test_iota_well_defined(rep, comps):
     # whole basis by q would still be one.)
     rescaled = dict(comps)
     b = list(comps["L1_2"])
-    b[1] = [c * q_power(1) for c in b[1]]
+    b[1] = {k: c * q_power(1) for k, c in b[1].items()}
     rescaled["L1_2"] = b
     assert not rm.verify_iota(rep, rescaled, IOTA_PAIRS)
     # L1_2 vectors 2, 3 and 4 times q: this still commutes with f_1, and
     # only f_2 sees it
     b = list(comps["L1_2"])
     for j in (2, 3, 4):
-        b[j] = [c * q_power(1) for c in b[j]]
+        b[j] = {k: c * q_power(1) for k, c in b[j].items()}
     rescaled["L1_2"] = b
     assert not rm.verify_iota(rep, rescaled, IOTA_PAIRS)
     whole = dict(comps)
-    whole["L1_2"] = [[c * q_power(1) for c in col] for col in comps["L1_2"]]
+    whole["L1_2"] = [{k: c * q_power(1) for k, c in col.items()}
+                     for col in comps["L1_2"]]
     assert rm.verify_iota(rep, whole, IOTA_PAIRS)
 
 
@@ -141,6 +142,12 @@ RMatrix, build_components = rm.RMatrix, rm.build_components
 a_2L1, a_L2, a_L1, a_0 = rm.a_2L1, rm.a_L2, rm.a_L1, rm.a_0
 
 
+def dense_comps(comps):
+    """The components' sparse basis columns as dense QRat lists."""
+    return {label: [[col.get(k, QR_ZERO) for k in range(N)] for col in basis]
+            for label, basis in comps.items()}
+
+
 def oracle_build_projections(comps):
     """Projection matrices (dense QRat, column-major lists of columns) onto
     each component along the others, computed weight block by weight block."""
@@ -148,7 +155,7 @@ def oracle_build_projections(comps):
     # group tensor indices by classical weight
     blocks = {}
     for k in range(N):
-        blocks.setdefault(fr.tensor_weight(divmod(k, 8)), []).append(k)
+        blocks.setdefault(fr.tensor_weight(k), []).append(k)
     # tag every basis column with its component and position
     tagged = []
     for label in order:
@@ -156,7 +163,7 @@ def oracle_build_projections(comps):
             w = None
             for k, c in enumerate(col):
                 if c:
-                    w = fr.tensor_weight(divmod(k, 8))
+                    w = fr.tensor_weight(k)
                     break
             tagged.append((label, pos, w, col))
     proj_cols = {label: [[QR_ZERO] * N for _ in range(N)] for label in order}
@@ -190,14 +197,14 @@ def oracle_component_coords(comps):
     order = fr.HW_ORDER
     blocks = {}
     for k in range(N):
-        blocks.setdefault(fr.tensor_weight(divmod(k, 8)), []).append(k)
+        blocks.setdefault(fr.tensor_weight(k), []).append(k)
     tagged = []
     for label in order:
         for pos, col in enumerate(comps[label]):
             w = None
             for k, c in enumerate(col):
                 if c:
-                    w = fr.tensor_weight(divmod(k, 8))
+                    w = fr.tensor_weight(k)
                     break
             tagged.append((label, pos, w, col))
     coords = {label: [[QR_ZERO] * len(comps[label]) for _ in range(N)]
@@ -254,6 +261,7 @@ def oracle_build_R(rep=None, comps=None):
         rep = fr.build_v1()
     if comps is None:
         comps = build_components(rep)
+    comps = dense_comps(comps)
     proj = oracle_build_projections(comps)
     coords = oracle_component_coords(comps)
     cols = [dict() for _ in range(N)]
@@ -286,7 +294,7 @@ def test_build_R_matches_projection_oracle(rep, comps, R):
 
 
 def test_oracle_projections_are_the_frame_projections(comps):
-    want = oracle_build_projections(comps)
+    want = oracle_build_projections(dense_comps(comps))
     for label, got in frame_projections(comps).items():
         assert got == [{row: c for row, c in enumerate(col) if c}
                        for col in want[label]]

@@ -20,13 +20,40 @@ print(r["checked"], c["coherent.f_embed_inverse.calls"],
       c["coherent.f_embed_inverse.hits"], c["coherent.cover.points"])
 """
 
+TRACED_RMATRIX = """
+import tracing
+from d43crystal import fundrep, rmatrix
+tracer = tracing.Tracer()
+tracer.install()
+rep = fundrep.build_v1()
+assert all(fundrep.verify_lowering_identities(rep).values())
+R = rmatrix.build_R(rep)
+assert all(rmatrix.verify_intertwiner(R, rep).values())
+calls = tracer.summary()["calls"]
+print(tracer.counts["rmatrix.R_nnz"])
+print(" ".join(sorted(name for name, n in calls.items() if n)))
+"""
 
-def test_tracer_installs_and_counts_cover_probes():
+
+def _traced(script):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "benchmarks")]))
-    out = subprocess.run([sys.executable, "-c", TRACED_COVER], cwd=ROOT,
+    out = subprocess.run([sys.executable, "-c", script], cwd=ROOT,
                          env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
+    return out
+
+
+def test_tracer_installs_and_counts_cover_probes():
+    out = _traced(TRACED_COVER)
     # the closed-form witness probes f_embed_inverse once per point, and
     # every probe hits
     assert out.stdout.split() == ["405"] * 4
+
+
+def test_tracer_records_the_rmatrix_spans():
+    nnz, names = _traced(TRACED_RMATRIX).stdout.splitlines()
+    assert nnz == "342"
+    assert {"fundrep.lowering", "rmatrix.build_components",
+            "rmatrix.component_coords", "rmatrix.build_R",
+            "rmatrix.intertwiner"} <= set(names.split())
