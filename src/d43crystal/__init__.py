@@ -6,7 +6,7 @@ Modules:
   exactalg     exact rational functions in q, Laurent polynomials, linear solving
   g2crystal    the classical one-row crystals in six coordinates
   affine       the affine 0-action, level contexts, enumeration of B_l
-  tensorcat    tensor products, components, connectivity walk
+  tensorcat    indexed tables of B_l, tensor rule, components, vacuum walk
   a2branch     the rank-two branching: components, closed-form tables, lemmas
   perfectness  perfectness axioms and the psi-function analysis
   coherent     the limit crystal and the coherent-family embeddings

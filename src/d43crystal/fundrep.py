@@ -183,7 +183,7 @@ def build_polarization(rep):
     (vphi, vphi) = q[3]/[2].  Solved as a linear system; the solution must
     be unique."""
     n = DIM * DIM
-    rows, rhs = [], []
+    rows = []
 
     def var(u, v):
         return u * DIM + v
@@ -193,7 +193,6 @@ def build_polarization(rep):
         for idx, c in coeffs:
             row[idx] = row[idx] + c
         rows.append(row)
-        rhs.append(QR_ZERO)
 
     # symmetry
     for u in range(DIM):
@@ -215,30 +214,20 @@ def build_polarization(rep):
                             coeffs.append((var(u, r), -adj[r][v]))
                     if coeffs:
                         add_zero_combination(coeffs)
-    # kernel dimension of the homogeneous system is the number of
-    # independent invariant forms; record it before normalizing
-    hom = solve_linear(rows, rhs, QR_ZERO, QR_ONE)
-    free_dim = len(hom.kernel)
-
-    row = [QR_ZERO] * n
-    row[var(0, 0)] = QR_ONE
-    rows.append(row)
-    rhs.append(QR_ONE)
-    for u in range(DIM - 1):
-        row = [QR_ZERO] * n
-        row[var(u, 7)] = QR_ONE
-        rows.append(row)
-        rhs.append(QR_ZERO)
-    row = [QR_ZERO] * n
-    row[var(7, 7)] = QR_ONE
-    rows.append(row)
-    rhs.append(q_power(1) * q_int(3) / q_int(2))
-
-    sol = solve_linear(rows, rhs, QR_ZERO, QR_ONE)
+    # the kernel of the homogeneous system spans the invariant forms; the
+    # normalization fixes the coordinates of the form in that basis
+    kernel = solve_linear(rows, [QR_ZERO] * len(rows), QR_ZERO, QR_ONE).kernel
+    free_dim = len(kernel)
+    norm = ([(var(0, 0), QR_ONE)] + [(var(u, 7), QR_ZERO) for u in range(DIM - 1)]
+            + [(var(7, 7), q_power(1) * q_int(3) / q_int(2))])
+    sol = solve_linear([[vec[k] for vec in kernel] for k, _ in norm],
+                       [value for _, value in norm], QR_ZERO, QR_ONE)
     if sol.kind != "unique":
         raise ArithmeticError(
             f"polarization not unique: {sol.kind}, free dim {free_dim}")
-    gram = [[sol.particular[var(u, v)] for v in range(DIM)] for u in range(DIM)]
+    form = [sum((c * vec[k] for c, vec in zip(sol.particular, kernel)), QR_ZERO)
+            for k in range(n)]
+    gram = [[form[var(u, v)] for v in range(DIM)] for u in range(DIM)]
     return gram, free_dim
 
 

@@ -41,17 +41,21 @@ def dominant_level_weights(l):
 
 
 def check_P1(l):
-    """B_l (x) B_l is {0,1,2}-connected."""
-    c = tc.level_crystal(l)
-    t = tc.tensor_crystal(c, c)
-    comps = tc.connected_components(t)
-    if len(comps) == 1:
-        return {"status": "pass", "vertices": len(t.elements)}
-    return {
-        "status": "fail",
-        "components": len(comps),
-        "representatives": [sorted(comp)[0] for comp in comps],
-    }
+    """B_l (x) B_l is {0,1,2}-connected: union-find over its f-arrows,
+    sound once the table passes the crystal axioms."""
+    table = tc.level_crystal(l)
+    broken = tc.axiom_failure(table)
+    if broken:
+        axiom, color, element = broken
+        return {"status": "fail", "reason": "crystal axiom", "axiom": axiom,
+                "color": color, "element": element}
+    el, n = table.elements, len(table.elements)
+    parent = tc.union_find(n * n, tc.square_arrows(table))
+    roots = [v for v, p in enumerate(parent) if p == v]
+    if len(roots) == 1:
+        return {"status": "pass", "vertices": n * n}
+    return {"status": "fail", "components": len(roots),
+            "representatives": [(el[v // n], el[v % n]) for v in roots]}
 
 
 def check_P2(l):
@@ -162,9 +166,9 @@ def check_psi_level_consistency(l_max=5):
 
 def perfectness_report(l):
     """Full per-axiom report; P3 is module-theoretic and stays unchecked,
-    and P1 is checked for l <= 4 only (size bound)."""
+    and P1 is checked for l <= 6 only (size bound)."""
     report = {"level": l}
-    report["P1"] = check_P1(l) if l <= 4 else {"status": "skipped",
+    report["P1"] = check_P1(l) if l <= 6 else {"status": "skipped",
                                                "reason": "size bound"}
     report["P2"] = check_P2(l)
     report["P3"] = {"status": "skipped",

@@ -1,113 +1,120 @@
-"""Tensor products of two crystals, connected components of colored graphs,
-and the deterministic walk joining any element of B_l (x) B_l to
-phi (x) phi.
+"""B_l as one indexed table, the tensor rule on index pairs of
+B_l (x) B_l, union-find components (Tarjan, J. ACM 1975), the
+deterministic walk joining any element of B_l (x) B_l to phi (x) phi, and
+graph export.
 """
 
-from collections import deque
+from array import array
+from collections import namedtuple
+from functools import lru_cache
+from types import MappingProxyType
 
 from . import affine as af
 
 PHI = (0, 0, 0, 0, 0, 0)
+COLORS = (0, 1, 2)
+
+# elements sorted, index: element -> position; f, e (target index, -1 where
+# undefined), eps and phi are tuples indexed by color, then by position
+LevelTable = namedtuple("LevelTable", "elements index f e eps phi")
 
 
-class Crystal:
-    """A finite crystal presented by its element list and statistics.
-
-    op(kind, i, b) returns an element or None; eps/phi are totals.
-    """
-
-    def __init__(self, elements, op, eps, phi, wt):
-        self.elements = list(elements)
-        self.op = op
-        self.eps = eps
-        self.phi = phi
-        self.wt = wt
-
-
+@lru_cache(maxsize=None)
 def level_crystal(l):
+    """B_l as a LevelTable, built once per level."""
     ctx = af.LevelCtx.finite(l)
-    return Crystal(
-        af.enumerate_Bl(l),
-        lambda kind, i, b: af.apply_op(kind, i, b, ctx),
-        lambda i, b: af.eps(i, b, ctx),
-        lambda i, b: af.phi(i, b, ctx),
-        lambda b: af.weight(b, ctx),
+    elements = tuple(af.enumerate_Bl(l))
+    index = {b: k for k, b in enumerate(elements)}
+
+    def targets(kind, i):
+        return tuple(-1 if nb is None else index[nb] for nb in
+                     (af.apply_op(kind, i, b, ctx) for b in elements))
+
+    return LevelTable(
+        elements, MappingProxyType(index),
+        tuple(targets("f", i) for i in COLORS),
+        tuple(targets("e", i) for i in COLORS),
+        tuple(tuple(af.eps(i, b, ctx) for b in elements) for i in COLORS),
+        tuple(tuple(af.phi(i, b, ctx) for b in elements) for i in COLORS),
     )
+
+
+def axiom_failure(table):
+    """The first (axiom, color, element) at which the table breaks a
+    crystal axiom, or None.  The axioms: f_i is defined exactly where
+    phi_i > 0 and e_i exactly where eps_i > 0; e_i and f_i invert each
+    other; one f_i step lowers phi_i by 1 and raises eps_i by 1.  They
+    carry over to B_l (x) B_l by the tensor rule."""
+    for i in COLORS:
+        f, e, eps, phi = table.f[i], table.e[i], table.eps[i], table.phi[i]
+        for a, b in enumerate(table.elements):
+            if (f[a] >= 0) != (phi[a] > 0):
+                return "f defined iff phi > 0", i, b
+            if (e[a] >= 0) != (eps[a] > 0):
+                return "e defined iff eps > 0", i, b
+            if (f[a] >= 0 and e[f[a]] != a) or (e[a] >= 0 and f[e[a]] != a):
+                return "e and f inverse", i, b
+            if f[a] >= 0 and (phi[f[a]], eps[f[a]]) != (phi[a] - 1, eps[a] + 1):
+                return "f step changes phi by -1 and eps by +1", i, b
+    return None
 
 
 # ---------------------------------------------------------------------------
-# tensor product of two crystals
+# the tensor rule on index pairs
 
 
-def tensor_f(i, pair, c1, c2):
-    b1, b2 = pair
-    if c1.phi(i, b1) > c2.eps(i, b2):
-        nb = c1.op("f", i, b1)
-        return None if nb is None else (nb, b2)
-    nb = c2.op("f", i, b2)
-    return None if nb is None else (b1, nb)
+def tensor_f(table, i, a, b):
+    """f_i on the pair (a, b) of B_l (x) B_l: it acts on a if
+    phi_i(a) > eps_i(b), otherwise on b.  Returns an index pair or None."""
+    if table.phi[i][a] > table.eps[i][b]:
+        a = table.f[i][a]
+    else:
+        b = table.f[i][b]
+    return None if a < 0 or b < 0 else (a, b)
 
 
-def tensor_e(i, pair, c1, c2):
-    b1, b2 = pair
-    if c1.phi(i, b1) >= c2.eps(i, b2):
-        nb = c1.op("e", i, b1)
-        return None if nb is None else (nb, b2)
-    nb = c2.op("e", i, b2)
-    return None if nb is None else (b1, nb)
-
-
-def tensor_eps(i, pair, c1, c2):
-    b1, b2 = pair
-    return c1.eps(i, b1) + max(0, c2.eps(i, b2) - c1.phi(i, b1))
-
-
-def tensor_phi(i, pair, c1, c2):
-    b1, b2 = pair
-    return c2.phi(i, b2) + max(0, c1.phi(i, b1) - c2.eps(i, b2))
-
-
-def tensor_crystal(c1, c2):
-    elements = [(a, b) for a in c1.elements for b in c2.elements]
-
-    def op(kind, i, pair):
-        if kind == "f":
-            return tensor_f(i, pair, c1, c2)
-        return tensor_e(i, pair, c1, c2)
-
-    return Crystal(
-        elements,
-        op,
-        lambda i, pair: tensor_eps(i, pair, c1, c2),
-        lambda i, pair: tensor_phi(i, pair, c1, c2),
-        lambda pair: tuple(x + y for x, y in zip(c1.wt(pair[0]), c2.wt(pair[1]))),
-    )
+def square_arrows(table):
+    """The f-arrows of B_l (x) B_l, the pair (a, b) numbered a*N + b."""
+    n = len(table.elements)
+    for a in range(n):
+        for b in range(n):
+            for i in COLORS:
+                nxt = tensor_f(table, i, a, b)
+                if nxt is not None:
+                    yield a * n + b, nxt[0] * n + nxt[1]
 
 
 # ---------------------------------------------------------------------------
 # connected components
 
 
-def connected_components(crystal, colors=(0, 1, 2)):
-    """Partition of the element set under undirected arrows of the given
-    colors.  Returns a list of frozensets."""
-    remaining = set(crystal.elements)
-    comps = []
-    while remaining:
-        start = remaining.pop()
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            b = queue.popleft()
-            for kind in ("e", "f"):
-                for i in colors:
-                    nb = crystal.op(kind, i, b)
-                    if nb is not None and nb not in comp:
-                        comp.add(nb)
-                        remaining.discard(nb)
-                        queue.append(nb)
-        comps.append(frozenset(comp))
-    return comps
+def _root(parent, v):
+    while parent[v] != v:
+        parent[v] = v = parent[parent[v]]
+    return v
+
+
+def union_find(n, arrows):
+    """Union-find over the vertices 0..n-1 joined along the (u, v) arrows.
+    Returns the parent array; every root is the smallest vertex of its
+    component."""
+    parent = array("l", range(n))
+    for u, v in arrows:
+        u, v = _root(parent, u), _root(parent, v)
+        if u != v:
+            parent[max(u, v)] = min(u, v)
+    return parent
+
+
+def connected_components(table, colors=COLORS):
+    """Partition of B_l under the arrows of the given colors: sorted lists
+    of elements, ordered by their smallest element."""
+    parent = union_find(len(table.elements), (
+        (a, t) for i in colors for a, t in enumerate(table.f[i]) if t >= 0))
+    comps = {}
+    for a, b in enumerate(table.elements):
+        comps.setdefault(_root(parent, a), []).append(b)
+    return list(comps.values())
 
 
 # ---------------------------------------------------------------------------
@@ -118,45 +125,53 @@ def connect_to_vacuum(l, pair):
     """Return the list of (color, pair) lowering steps taking pair to
     (phi, phi) in B_l (x) B_l.  Raises if the walk fails to terminate
     within 200 (l+1)^2 steps."""
-    c = level_crystal(l)
+    table = level_crystal(l)
+    el = table.elements
     steps = []
+
+    def pairs(cur):
+        return el[cur[0]], el[cur[1]]
+
+    def lower(i, cur):
+        cur = tensor_f(table, i, *cur)
+        if cur is not None:
+            steps.append((i, pairs(cur)))
+        return cur
 
     def saturate(cur):
         while True:
             for i in (1, 2):
-                nxt = tensor_f(i, cur, c, c)
+                nxt = lower(i, cur)
                 if nxt is not None:
-                    steps.append((i, nxt))
                     cur = nxt
                     break
             else:
                 return cur
 
-    cur = saturate(pair)
+    cur = saturate((table.index[pair[0]], table.index[pair[1]]))
     # now the right factor is a string of barred ones
-    b, right = cur
+    right = el[cur[1]]
     m = right[5]
     if right != (0, 0, 0, 0, 0, m):
-        raise RuntimeError(f"saturation did not reach a barred-one string: {cur}")
-    gamma = m + max(0, c.phi(0, b) - l + m)
+        raise RuntimeError(f"saturation did not reach a barred-one string: {pairs(cur)}")
+    gamma = m + max(0, table.phi[0][cur[0]] - l + m)
     for _ in range(gamma):
-        cur = tensor_f(0, cur, c, c)
+        cur = lower(0, cur)
         if cur is None:
             raise RuntimeError("0-string ended early during the gamma step")
-        steps.append((0, cur))
-    if cur[1] != PHI:
-        raise RuntimeError(f"gamma step did not empty the right factor: {cur}")
+    if el[cur[1]] != PHI:
+        raise RuntimeError(f"gamma step did not empty the right factor: {pairs(cur)}")
     cur = saturate(cur)
-    mprime = cur[0][5]
-    if cur[0] != (0, 0, 0, 0, 0, mprime) or cur[1] != PHI:
-        raise RuntimeError(f"second saturation failed: {cur}")
+    left = el[cur[0]]
+    mprime = left[5]
+    if left != (0, 0, 0, 0, 0, mprime) or el[cur[1]] != PHI:
+        raise RuntimeError(f"second saturation failed: {pairs(cur)}")
     for _ in range(mprime):
-        cur = tensor_f(0, cur, c, c)
+        cur = lower(0, cur)
         if cur is None:
             raise RuntimeError("final 0-steps ended early")
-        steps.append((0, cur))
-    if cur != (PHI, PHI):
-        raise RuntimeError(f"walk ended at {cur}, not the vacuum")
+    if pairs(cur) != (PHI, PHI):
+        raise RuntimeError(f"walk ended at {pairs(cur)}, not the vacuum")
     if len(steps) > 200 * (l + 1) ** 2:
         raise RuntimeError("walk exceeded the step budget")
     return steps
@@ -170,39 +185,29 @@ def coord_label(b):
     return "(" + ",".join(str(v) for v in b) + ")"
 
 
-def pair_label(pair):
-    return coord_label(pair[0]) + "*" + coord_label(pair[1])
-
-
-def graph_edges(crystal, colors=(0, 1, 2)):
+def graph_edges(table, colors=COLORS):
     """Sorted (source, color, target) triples of f-arrows."""
-    edges = []
-    for b in crystal.elements:
-        for i in colors:
-            nb = crystal.op("f", i, b)
-            if nb is not None:
-                edges.append((b, i, nb))
-    edges.sort()
-    return edges
+    el = table.elements
+    return sorted((el[a], i, el[t]) for i in colors
+                  for a, t in enumerate(table.f[i]) if t >= 0)
 
 
-def graph_json(crystal, colors=(0, 1, 2), label=coord_label):
-    nodes = sorted(crystal.elements)
+def graph_json(table, colors=COLORS, label=coord_label):
     return {
         "schema": "crystal-graph/1",
-        "nodes": [label(b) for b in nodes],
+        "nodes": [label(b) for b in table.elements],
         "edges": [
             {"source": label(a), "label": i, "target": label(b)}
-            for a, i, b in graph_edges(crystal, colors)
+            for a, i, b in graph_edges(table, colors)
         ],
     }
 
 
-def graph_dot(crystal, colors=(0, 1, 2), label=coord_label, name="crystal"):
+def graph_dot(table, colors=COLORS, label=coord_label, name="crystal"):
     lines = [f"digraph {name} {{"]
-    for b in sorted(crystal.elements):
+    for b in table.elements:
         lines.append(f'  "{label(b)}";')
-    for a, i, b in graph_edges(crystal, colors):
+    for a, i, b in graph_edges(table, colors):
         lines.append(f'  "{label(a)}" -> "{label(b)}" [label={i}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

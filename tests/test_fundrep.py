@@ -2,14 +2,15 @@
 identities of the 8-dimensional module."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from d43crystal import fundrep as fr
 from d43crystal.exactalg import (
-    Laurent, QR_ONE, QR_ZERO, q_int, q_power, sparse_mul,
+    Laurent, QR_ONE, QR_ZERO, q_int, q_power, solve_linear, sparse_mul,
 )
-from d43crystal.fundrep import DIM, qi_power
+from d43crystal.fundrep import DIM, _mm, _mscale, qi_power
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +58,87 @@ def test_polarization_values(gram):
     assert g[7][7] == q_power(1) * q_int(3) / q_int(2)
     # off-diagonal pairings against the lowest-weight line vanish
     assert all(g[u][7] == QR_ZERO for u in range(7))
+
+
+# the polarization as solved before the normalization moved into the
+# kernel coordinates: the whole system twice, kept as the oracle
+def oracle_build_polarization(rep):
+    """The symmetric form with (t_i u, v) = (u, t_i v),
+    (e_i u, v) = (u, q_i^-1 t_i^-1 f_i v), (f_i u, v) = (u, q_i^-1 t_i e_i v),
+    normalized by (v1, v1) = 1, (u, vphi) = 0 off the trivial part,
+    (vphi, vphi) = q[3]/[2].  Solved as a linear system; the solution must
+    be unique."""
+    n = DIM * DIM
+    rows, rhs = [], []
+
+    def var(u, v):
+        return u * DIM + v
+
+    def add_zero_combination(coeffs):
+        row = [QR_ZERO] * n
+        for idx, c in coeffs:
+            row[idx] = row[idx] + c
+        rows.append(row)
+        rhs.append(QR_ZERO)
+
+    # symmetry
+    for u in range(DIM):
+        for v in range(u + 1, DIM):
+            add_zero_combination([(var(u, v), QR_ONE), (var(v, u), -QR_ONE)])
+    for i in range(3):
+        # adjoints of e_i and f_i; the t_i identity follows from these two
+        adj_e = _mscale(_mm(rep.t_matrix(i, -1), rep.F[i]), qi_power(i, -1))
+        adj_f = _mscale(_mm(rep.t_matrix(i, 1), rep.E[i]), qi_power(i, -1))
+        for op, adj in ((rep.E[i], adj_e), (rep.F[i], adj_f)):
+            for u in range(DIM):
+                for v in range(DIM):
+                    # (op u, v) - (u, adj v) = 0
+                    coeffs = []
+                    for r in range(DIM):
+                        if op[r][u]:
+                            coeffs.append((var(r, v), op[r][u]))
+                        if adj[r][v]:
+                            coeffs.append((var(u, r), -adj[r][v]))
+                    if coeffs:
+                        add_zero_combination(coeffs)
+    # kernel dimension of the homogeneous system is the number of
+    # independent invariant forms; record it before normalizing
+    hom = solve_linear(rows, rhs, QR_ZERO, QR_ONE)
+    free_dim = len(hom.kernel)
+
+    row = [QR_ZERO] * n
+    row[var(0, 0)] = QR_ONE
+    rows.append(row)
+    rhs.append(QR_ONE)
+    for u in range(DIM - 1):
+        row = [QR_ZERO] * n
+        row[var(u, 7)] = QR_ONE
+        rows.append(row)
+        rhs.append(QR_ZERO)
+    row = [QR_ZERO] * n
+    row[var(7, 7)] = QR_ONE
+    rows.append(row)
+    rhs.append(q_power(1) * q_int(3) / q_int(2))
+
+    sol = solve_linear(rows, rhs, QR_ZERO, QR_ONE)
+    if sol.kind != "unique":
+        raise ArithmeticError(
+            f"polarization not unique: {sol.kind}, free dim {free_dim}")
+    gram = [[sol.particular[var(u, v)] for v in range(DIM)] for u in range(DIM)]
+    return gram, free_dim
+
+
+def test_polarization_matches_two_solve_oracle(rep, gram):
+    assert gram == oracle_build_polarization(rep)
+
+
+def test_polarization_not_unique_raises(rep):
+    # with e_i = f_i = 0 every symmetric form is invariant: 36 of them, and
+    # the nine normalization rows cannot single one out
+    zero = [[QR_ZERO] * DIM for _ in range(DIM)]
+    flat = SimpleNamespace(E=[zero] * 3, F=[zero] * 3, t_matrix=rep.t_matrix)
+    with pytest.raises(ArithmeticError, match="free dim 36"):
+        fr.build_polarization(flat)
 
 
 def test_gram_entries_integral(gram):

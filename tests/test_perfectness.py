@@ -75,4 +75,6 @@ def test_report_shape():
     assert rep["P5"]["status"] == "pass"
     assert rep["minimal"] == pf.minimal_elements(2)
     rep = pf.perfectness_report(5)
+    assert rep["P1"]["status"] == "pass"
+    rep = pf.perfectness_report(7)
     assert rep["P1"]["status"] == "skipped"

@@ -1,27 +1,154 @@
-"""Tensor products, connectivity and graph export."""
+"""The indexed table of B_l, the tensor rule on index pairs, union-find
+components, the vacuum walk and graph export.
+
+The closure-based crystals, the tuple-pair tensor rule and the BFS that
+the table replaced are kept below, renamed oracle_*, as the reference."""
+
+from collections import deque
 
 import pytest
 
 from d43crystal import affine as af
+from d43crystal import perfectness as pf
 from d43crystal import tensorcat as tc
 
+# ---------------------------------------------------------------------------
+# oracle: closures over affine.apply_op, tensor rule on tuple pairs, BFS
 
-def _tensor(l):
-    c = tc.level_crystal(l)
-    return c, tc.tensor_crystal(c, c)
+
+class OracleCrystal:
+    """A finite crystal presented by its element list and statistics.
+
+    op(kind, i, b) returns an element or None; eps/phi are totals.
+    """
+
+    def __init__(self, elements, op, eps, phi, wt):
+        self.elements = list(elements)
+        self.op = op
+        self.eps = eps
+        self.phi = phi
+        self.wt = wt
+
+
+def oracle_level_crystal(l):
+    ctx = af.LevelCtx.finite(l)
+    return OracleCrystal(
+        af.enumerate_Bl(l),
+        lambda kind, i, b: af.apply_op(kind, i, b, ctx),
+        lambda i, b: af.eps(i, b, ctx),
+        lambda i, b: af.phi(i, b, ctx),
+        lambda b: af.weight(b, ctx),
+    )
+
+
+def oracle_tensor_f(i, pair, c1, c2):
+    b1, b2 = pair
+    if c1.phi(i, b1) > c2.eps(i, b2):
+        nb = c1.op("f", i, b1)
+        return None if nb is None else (nb, b2)
+    nb = c2.op("f", i, b2)
+    return None if nb is None else (b1, nb)
+
+
+def oracle_tensor_e(i, pair, c1, c2):
+    b1, b2 = pair
+    if c1.phi(i, b1) >= c2.eps(i, b2):
+        nb = c1.op("e", i, b1)
+        return None if nb is None else (nb, b2)
+    nb = c2.op("e", i, b2)
+    return None if nb is None else (b1, nb)
+
+
+def oracle_tensor_eps(i, pair, c1, c2):
+    b1, b2 = pair
+    return c1.eps(i, b1) + max(0, c2.eps(i, b2) - c1.phi(i, b1))
+
+
+def oracle_tensor_phi(i, pair, c1, c2):
+    b1, b2 = pair
+    return c2.phi(i, b2) + max(0, c1.phi(i, b1) - c2.eps(i, b2))
+
+
+def oracle_tensor_crystal(c1, c2):
+    elements = [(a, b) for a in c1.elements for b in c2.elements]
+
+    def op(kind, i, pair):
+        if kind == "f":
+            return oracle_tensor_f(i, pair, c1, c2)
+        return oracle_tensor_e(i, pair, c1, c2)
+
+    return OracleCrystal(
+        elements,
+        op,
+        lambda i, pair: oracle_tensor_eps(i, pair, c1, c2),
+        lambda i, pair: oracle_tensor_phi(i, pair, c1, c2),
+        lambda pair: tuple(x + y for x, y in zip(c1.wt(pair[0]), c2.wt(pair[1]))),
+    )
+
+
+def oracle_connected_components(crystal, colors=(0, 1, 2)):
+    """Partition of the element set under undirected arrows of the given
+    colors.  Returns a list of frozensets."""
+    remaining = set(crystal.elements)
+    comps = []
+    while remaining:
+        start = remaining.pop()
+        comp = {start}
+        queue = deque([start])
+        while queue:
+            b = queue.popleft()
+            for kind in ("e", "f"):
+                for i in colors:
+                    nb = crystal.op(kind, i, b)
+                    if nb is not None and nb not in comp:
+                        comp.add(nb)
+                        remaining.discard(nb)
+                        queue.append(nb)
+        comps.append(frozenset(comp))
+    return comps
+
+
+def oracle_check_P1(l):
+    """B_l (x) B_l is {0,1,2}-connected."""
+    c = oracle_level_crystal(l)
+    t = oracle_tensor_crystal(c, c)
+    comps = oracle_connected_components(t)
+    if len(comps) == 1:
+        return {"status": "pass", "vertices": len(t.elements)}
+    return {
+        "status": "fail",
+        "components": len(comps),
+        "representatives": [sorted(comp)[0] for comp in comps],
+    }
+
+
+def _oracle_tensor(l):
+    c = oracle_level_crystal(l)
+    return c, oracle_tensor_crystal(c, c)
+
+
+def _partition(comps):
+    return {frozenset(comp) for comp in comps}
+
+
+# ---------------------------------------------------------------------------
+# the tensor rule, on the oracle
 
 
 def test_signature_convention():
     # f0(phi (x) phi) = phi (x) 1 pins the tensor rule orientation
-    _, t = _tensor(1)
+    _, t = _oracle_tensor(1)
     one = (1, 0, 0, 0, 0, 0)
     assert t.op("f", 0, (tc.PHI, tc.PHI)) == (tc.PHI, one)
     assert t.op("e", 0, (tc.PHI, tc.PHI)) == ((0, 0, 0, 0, 0, 1), tc.PHI)
+    table = tc.level_crystal(1)
+    vac = table.index[tc.PHI]
+    assert tc.tensor_f(table, 0, vac, vac) == (vac, table.index[one])
 
 
 @pytest.mark.parametrize("l", [1, 2])
 def test_tensor_inverse_property(l):
-    _, t = _tensor(l)
+    _, t = _oracle_tensor(l)
     for pair in t.elements:
         for i in range(3):
             np_ = t.op("f", i, pair)
@@ -34,7 +161,7 @@ def test_tensor_inverse_property(l):
 
 @pytest.mark.parametrize("l", [1, 2])
 def test_tensor_string_lengths(l):
-    _, t = _tensor(l)
+    _, t = _oracle_tensor(l)
     for pair in t.elements:
         for i in range(3):
             k, cur = 0, pair
@@ -56,18 +183,71 @@ def test_tensor_string_lengths(l):
 @pytest.mark.parametrize("l", [1, 2])
 def test_tensor_weight_identity(l):
     # wt = sum_i (phi_i - eps_i) Lambda_i holds in the tensor product
-    _, t = _tensor(l)
+    _, t = _oracle_tensor(l)
     for pair in t.elements:
         w = t.wt(pair)
         assert w == tuple(t.phi(i, pair) - t.eps(i, pair) for i in range(3))
 
 
+# ---------------------------------------------------------------------------
+# the table against the oracle
+
+
+@pytest.mark.parametrize("l", [0, 1, 2, 3])
+def test_table_matches_oracle_crystal(l):
+    table, c = tc.level_crystal(l), oracle_level_crystal(l)
+    el = table.elements
+    assert list(el) == c.elements
+    assert all(table.index[b] == k for k, b in enumerate(el))
+    for i in range(3):
+        for a, b in enumerate(el):
+            for kind, targets in (("f", table.f[i]), ("e", table.e[i])):
+                nb = c.op(kind, i, b)
+                assert targets[a] == (-1 if nb is None else table.index[nb])
+            assert table.eps[i][a] == c.eps(i, b)
+            assert table.phi[i][a] == c.phi(i, b)
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_tensor_f_matches_oracle(l):
+    table = tc.level_crystal(l)
+    c = oracle_level_crystal(l)
+    el = table.elements
+    for a, b1 in enumerate(el):
+        for b, b2 in enumerate(el):
+            for i in range(3):
+                got = tc.tensor_f(table, i, a, b)
+                want = oracle_tensor_f(i, (b1, b2), c, c)
+                assert (None if got is None else (el[got[0]], el[got[1]])) == want
+
+
+def test_table_is_cached_per_level_and_immutable():
+    tables = {l: tc.level_crystal(l) for l in (3, 1, 4, 0, 2)}
+    for l, table in tables.items():
+        assert tc.level_crystal(l) is table
+        assert table.elements == tuple(af.enumerate_Bl(l))
+        assert len(table.elements) == af.bl_cardinality(l)
+        assert all(isinstance(col, tuple) for field in table[2:] for col in field)
+    with pytest.raises(TypeError):
+        tables[1].index[tc.PHI] = 1
+
+
+@pytest.mark.parametrize("l", range(0, 7))
+def test_table_satisfies_the_crystal_axioms(l):
+    assert tc.axiom_failure(tc.level_crystal(l)) is None
+
+
+# ---------------------------------------------------------------------------
+# components: union-find against the BFS
+
+
 @pytest.mark.parametrize("l", [1, 2])
 def test_tensor_square_is_connected(l):
-    _, t = _tensor(l)
-    comps = tc.connected_components(t)
-    assert len(comps) == 1
-    assert len(comps[0]) == af.bl_cardinality(l) ** 2
+    table = tc.level_crystal(l)
+    n = len(table.elements)
+    parent = tc.union_find(n * n, tc.square_arrows(table))
+    assert [v for v, p in enumerate(parent) if p == v] == [0]
+    assert n * n == af.bl_cardinality(l) ** 2
 
 
 def test_level_crystal_component_count_colors_01():
@@ -76,16 +256,105 @@ def test_level_crystal_component_count_colors_01():
     assert sorted(len(x) for x in comps) == [8, 27]
 
 
+@pytest.mark.parametrize("l", range(1, 6))
+def test_components_match_bfs(l):
+    got = tc.connected_components(tc.level_crystal(l), colors=(0, 1))
+    want = oracle_connected_components(oracle_level_crystal(l), colors=(0, 1))
+    assert _partition(got) == _partition(want)
+    # each component is a sorted list, the components ordered by their
+    # smallest element
+    assert all(comp == sorted(comp) for comp in got)
+    assert [comp[0] for comp in got] == sorted(comp[0] for comp in got)
+
+
+@pytest.mark.parametrize("l", range(1, 5))
+def test_check_P1_matches_oracle(l):
+    assert pf.check_P1(l) == oracle_check_P1(l)
+
+
+def test_components_without_0_arrows():
+    l = 2
+    table = tc.level_crystal(l)
+    cut = table._replace(f=((-1,) * len(table.elements),) + table.f[1:])
+    got = tc.connected_components(cut)
+    assert len(got) > 1
+    want = oracle_connected_components(oracle_level_crystal(l), colors=(1, 2))
+    assert _partition(got) == _partition(want)
+
+
+def _without_color_0(table):
+    """A valid crystal table whose 0-strings all have length zero."""
+    none = (-1,) * len(table.elements)
+    zero = (0,) * len(table.elements)
+    return table._replace(f=(none,) + table.f[1:], e=(none,) + table.e[1:],
+                          eps=(zero,) + table.eps[1:],
+                          phi=(zero,) + table.phi[1:])
+
+
+def test_check_P1_reports_components_of_a_disconnected_square(monkeypatch):
+    l = 1
+    cut = _without_color_0(tc.level_crystal(l))
+    assert tc.axiom_failure(cut) is None
+    monkeypatch.setattr(tc, "level_crystal", lambda level: cut)
+    got = pf.check_P1(l)
+    _, t = _oracle_tensor(l)
+    want = oracle_connected_components(t, colors=(1, 2))
+    assert got["status"] == "fail"
+    assert got["components"] == len(want) > 1
+    assert got["representatives"] == sorted(min(comp) for comp in want)
+
+
+def _corrupt(table, field, i, a, value):
+    col = list(getattr(table, field)[i])
+    col[a] = value
+    cols = list(getattr(table, field))
+    cols[i] = tuple(col)
+    return table._replace(**{field: tuple(cols)})
+
+
+def _first_arrow(table, i):
+    return next(a for a, t in enumerate(table.f[i]) if t >= 0)
+
+
+@pytest.mark.parametrize("field", ["e", "phi"])
+def test_check_P1_fails_on_a_broken_axiom(monkeypatch, field):
+    l = 2
+    table = tc.level_crystal(l)
+    a = _first_arrow(table, 1)
+    if field == "e":
+        # e_1 of the f_1-target no longer returns to a
+        t = table.f[1][a]
+        bad = _corrupt(table, "e", 1, t, (a + 1) % len(table.elements))
+    else:
+        bad = _corrupt(table, "phi", 1, a, table.phi[1][a] + 1)
+    assert tc.axiom_failure(bad) is not None
+    monkeypatch.setattr(tc, "level_crystal", lambda level: bad)
+    got = pf.check_P1(l)
+    assert got["status"] == "fail"
+    assert got["reason"] == "crystal axiom"
+    assert got["color"] == 1
+
+
+# ---------------------------------------------------------------------------
+# the vacuum walk
+
+
 @pytest.mark.parametrize("l", [1, 2])
 def test_walk_reaches_vacuum_from_everywhere(l):
-    c, t = _tensor(l)
-    for pair in t.elements:
-        steps = tc.connect_to_vacuum(l, pair)
-        cur = pair
-        for color, nxt in steps:
-            assert t.op("f", color, cur) == nxt
-            cur = nxt
-        assert cur == (tc.PHI, tc.PHI)
+    table = tc.level_crystal(l)
+    el, idx = table.elements, table.index
+    for b1 in el:
+        for b2 in el:
+            cur = (b1, b2)
+            for color, nxt in tc.connect_to_vacuum(l, cur):
+                a, b = tc.tensor_f(table, color, idx[cur[0]], idx[cur[1]])
+                assert (el[a], el[b]) == nxt
+                cur = nxt
+            assert cur == (tc.PHI, tc.PHI)
+
+
+# ---------------------------------------------------------------------------
+# graph export
 
 
 def test_graph_edges_level1():
@@ -115,8 +384,3 @@ def test_graph_dot_output():
     assert dot.startswith("digraph b1 {")
     assert dot.rstrip().endswith("}")
     assert dot.count("->") == 10
-
-
-def test_pair_label():
-    assert tc.pair_label((tc.PHI, (1, 0, 0, 0, 0, 0))) == \
-        "(0,0,0,0,0,0)*(1,0,0,0,0,0)"

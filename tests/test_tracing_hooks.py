@@ -34,6 +34,21 @@ print(tracer.counts["rmatrix.R_nnz"])
 print(" ".join(sorted(name for name, n in calls.items() if n)))
 """
 
+TRACED_CRYSTAL = """
+import tracing
+from d43crystal import a2branch, perfectness, tensorcat
+tracer = tracing.Tracer()
+tracer.install()
+assert perfectness.check_P1(2)["status"] == "pass"
+for pair in [((1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1)),
+             ((0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0))]:
+    assert tensorcat.connect_to_vacuum(2, pair)
+assert len(a2branch.decompose(2)) == 2
+calls = tracer.summary()["calls"]
+print(tracer.counts["tensorcat.level_crystal.calls"])
+print(" ".join(sorted(name for name, n in calls.items() if n)))
+"""
+
 
 def _traced(script):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -57,3 +72,10 @@ def test_tracer_records_the_rmatrix_spans():
     assert {"fundrep.lowering", "rmatrix.build_components",
             "rmatrix.component_coords", "rmatrix.build_R",
             "rmatrix.intertwiner"} <= set(names.split())
+
+
+def test_tracer_records_the_crystal_spans():
+    level_calls, names = _traced(TRACED_CRYSTAL).stdout.splitlines()
+    assert int(level_calls) > 0
+    assert {"perfectness.P1", "tensorcat.vacuum_walk",
+            "tensorcat.components"} <= set(names.split())
