@@ -152,7 +152,7 @@ class DecompositionError(AssertionError):
     pass
 
 
-def decompose(l, check_isomorphism=True):
+def decompose(l):
     """Match the {0,1}-components of B_l with the index set, verifying that
     each component is isomorphic to the corresponding A2 crystal.
 
@@ -191,8 +191,11 @@ def decompose(l, check_isomorphism=True):
                 f"component ({l},{i},{j0},{j1}) has size {len(comp)}, "
                 f"expected {a2_dim(j0, j1)}"
             )
-        if check_isomorphism:
-            _check_component_isomorphism(l, i, j0, j1, comp, ctx)
+        image = _component_image(l, i, j0, j1, ctx)
+        if not set(image.values()) <= set(comp):
+            raise DecompositionError(
+                f"({l},{i},{j0},{j1}): image not in the component")
+        _check_transfer(l, i, j0, j1, image, ctx)
         result.append({"i": i, "j0": j0, "j1": j1, "size": len(comp), "highest": h})
 
     if sum(used.values()) != len(expected):
@@ -201,17 +204,26 @@ def decompose(l, check_isomorphism=True):
     return result
 
 
-def _check_component_isomorphism(l, i, j0, j1, comp, ctx):
-    """The map t(p,q,r) -> f0^r f1^q f0^p bbar is a {0,1}-crystal isomorphism."""
+def _component_image(l, i, j0, j1, ctx):
+    """The map t(p,q,r) -> f0^r f1^q f0^p bbar(l,i,j0,j1) on the A2 crystal
+    B(j0,j1); every image must be defined and the map injective."""
     image = {}
+    seen = set()
     for t in a2_elements(j0, j1):
         b = tab_to_element(l, i, j0, j1, t, ctx)
-        if b is None or b not in comp:
-            raise DecompositionError(f"({l},{i},{j0},{j1}): image of {t} not in component")
-        if b in image.values():
+        if b is None:
+            raise DecompositionError(f"({l},{i},{j0},{j1}): image of {t} undefined")
+        if b in seen:
             raise DecompositionError(f"({l},{i},{j0},{j1}): map not injective at {t}")
+        seen.add(b)
         image[t] = b
-    # arrows and statistics transfer
+    return image
+
+
+def _check_transfer(l, i, j0, j1, image, ctx):
+    """eps0, eps1, phi0, phi1 and the e0, f0, e1, f1 arrows of B(j0,j1)
+    transfer along image to those of B_l, so image is a {0,1}-crystal
+    isomorphism onto its range."""
     ops = {("e", 0): a2_e0, ("f", 0): a2_f0, ("e", 1): a2_e1, ("f", 1): a2_f1}
     for t, b in image.items():
         e0v, e1v, p0v, p1v = a2_eps_phi(t)
@@ -557,9 +569,7 @@ def verify_invol2(l_max):
                 continue
             for t in a2_elements(j0, j1):
                 lhs = tab_to_element(l, i, j0, j1, t, ctx)
-                pp = j1 - t.q + t.p
-                qq = j0 + j1 - t.q
-                rr = j0 + t.q - 2 * t.p - t.r
+                pp, qq, rr = a2_raise(t)
                 rhs = lower_pqr(bbar(l, i, j1, j0), pp, qq, rr, ctx)
                 if lhs is None or rhs is None or af.involution(lhs) != rhs:
                     raise AssertionError(
@@ -570,50 +580,19 @@ def verify_invol2(l_max):
 
 
 def verify_step2_relations(l_max):
-    """Relations (i')-(v') for the swapped-index components in B_l."""
+    """Relations (i')-(v') for the swapped-index components in B_l: for
+    j0 <= j1 the map from B(j1,j0) onto the component (l,i,j1,j0) is defined
+    everywhere and injective, and its eps/phi and four arrows transfer.
+    (i') is definedness, (ii') and (iii') are the e0 and e1 arrows, (iv')
+    and (v') are ends of the f0 and f1 strings.  Returns the number of
+    elements checked."""
     checked = 0
     for l in range(1, l_max + 1):
         ctx = af.LevelCtx.finite(l)
         for (i, j0, j1) in component_indices(l):
             if j0 > j1:
                 continue
-            base = bbar(l, i, j1, j0)  # first index >= second
-            for p in range(j1 + 1):
-                for q in range(p, j0 + p + 1):
-                    for r in range(j1 + q - 2 * p + 1):
-                        b = lower_pqr(base, p, q, r, ctx)
-                        # (i')
-                        if b is None:
-                            raise AssertionError(
-                                f"(i') fails: l={l} i={i} ({j1},{j0}) p={p} q={q} r={r}"
-                            )
-                        # (ii')
-                        want = lower_pqr(base, p, q, r - 1, ctx) if r > 0 else None
-                        if af.e0(b, ctx) != want:
-                            raise AssertionError(
-                                f"(ii') fails: l={l} i={i} ({j1},{j0}) p={p} q={q} r={r}"
-                            )
-                        # (iii')
-                        if p - q + r < 0:
-                            want = lower_pqr(base, p, q - 1, r, ctx)
-                        elif p > 0:
-                            want = lower_pqr(base, p - 1, q - 1, r + 1, ctx)
-                        else:
-                            want = None
-                        if af.apply_op("e", 1, b, ctx) != want:
-                            raise AssertionError(
-                                f"(iii') fails: l={l} i={i} ({j1},{j0}) p={p} q={q} r={r}"
-                            )
-                        # (iv') at the top of the 0-string
-                        if r == j1 + q - 2 * p and af.f0(b, ctx) is not None:
-                            raise AssertionError(
-                                f"(iv') fails: l={l} i={i} ({j1},{j0}) p={p} q={q}"
-                            )
-                        # (v')
-                        if p == 0 and p + r <= q == j0 + p:
-                            if af.apply_op("f", 1, b, ctx) is not None:
-                                raise AssertionError(
-                                    f"(v') fails: l={l} i={i} ({j1},{j0}) q={q} r={r}"
-                                )
-                        checked += 1
+            image = _component_image(l, i, j1, j0, ctx)
+            _check_transfer(l, i, j1, j0, image, ctx)
+            checked += len(image)
     return checked

@@ -102,11 +102,12 @@ def _box(radius):
     return (nu for nu in product(rng, repeat=6) if (nu[2] - nu[3]) % 2 == 0)
 
 
-def verify_cover(radius, l_max=None):
+def verify_cover(radius):
     """Every parity-admissible integer tuple in the box [-radius, radius]^6
-    lies in the image of some embedding with l <= l_max."""
-    if l_max is None:
-        l_max = 10 * radius + 1
+    lies in the image of some embedding with l <= l_max = 10 radius + 1,
+    which bounds the witness level 2 alpha + 3 beta + gsum(nu) over the box
+    (alpha <= radius, beta <= radius, gsum(nu) <= 5 radius)."""
+    l_max = 10 * radius + 1
     checked = 0
     for nu in _box(radius):
         if cover_witness(nu, l_max) is None:

@@ -1,6 +1,11 @@
 """Exact arithmetic kernel: rational functions in q, sparse Laurent
-polynomials in spectral variables, dense linear algebra over them and the
-product of sparse column matrices.
+polynomials in spectral variables, Gaussian elimination over them, and the
+algebra of sparse column matrices.
+
+A matrix is a list of sparse columns {row: entry} with no zero entry
+stored, so two matrices are equal exactly when their column lists are.
+sparse_mul multiplies two of them, kron takes their Kronecker product and
+lincomb a linear combination; solve_linear alone works on dense rows.
 
 Integer polynomials in q are plain tuples of ints, low degree first, with
 no trailing zeros; () is the zero polynomial.  The polynomial kernel is
@@ -566,23 +571,8 @@ def solve_linear(rows, rhs, zero, one):
     return LinearSolution("parametrized", part, kernel)
 
 
-def mat_mul(a, b, zero):
-    """Dense product of two lists-of-lists with compatible shapes."""
-    n, k = len(a), len(b)
-    m = len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        ai = a[i]
-        for j in range(m):
-            acc = zero
-            for t in range(k):
-                v = ai[t]
-                if v:
-                    acc = acc + v * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
+# ---------------------------------------------------------------------------
+# sparse column matrices
 
 
 def sparse_mul(a_cols, b_cols):
@@ -603,3 +593,23 @@ def sparse_mul(a_cols, b_cols):
                     del acc[row]
         out.append(acc)
     return out
+
+
+def kron(a_cols, b_cols):
+    """a (x) b as sparse columns, for a square b of n columns: column
+    j_a*n + j_b holds a[r_a][j_a] * b[r_b][j_b] at row r_a*n + r_b.  A
+    product of two nonzero entries is nonzero, so no zero is stored."""
+    n = len(b_cols)
+    return [{ra * n + rb: ca * cb for ra, ca in acol.items()
+             for rb, cb in bcol.items()}
+            for acol in a_cols for bcol in b_cols]
+
+
+def lincomb(terms):
+    """sum_k c_k M_k for terms [(c_k, M_k)] with equally many columns, as
+    one sparse_mul of the stacked columns [M_1 | M_2 | ...] by the columns
+    {k*n + j: c_k}; an entry that cancels is dropped there."""
+    n = len(terms[0][1])
+    stacked = [col for _, m in terms for col in m]
+    return sparse_mul(stacked, [{k * n + j: c for k, (c, _) in enumerate(terms)}
+                                for j in range(n)])

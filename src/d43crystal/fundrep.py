@@ -4,18 +4,18 @@ weight vectors of the tensor square with their lowering identities.
 
 Basis order is (v1, v2, v3, v0, v3b, v2b, v1b, vphi), indices 0..7.
 
-There are two formats.  On V1 the generators are dense 8x8 lists of QRat
-with M[row][col]; columns are sources.  On V1_x (x) V1_y, v_a (x) v_b has
-the flat index 8a + b, and both vectors and matrices are sparse: a vector
-is a dict {8a+b: entry}, a matrix a list of 64 such columns, multiplied by
-exactalg.sparse_mul.  Entries are QRat, except where the spectral variables
-enter: Delta(e_0) and Delta(f_0) have Laurent entries in (x, y), and so
-does every vector that one of them has acted on.
+Every matrix is a list of sparse columns {row: entry} (columns are
+sources), multiplied, tensored and combined by exactalg.sparse_mul, kron
+and lincomb.  On V1 there are 8 columns; on V1_x (x) V1_y, v_a (x) v_b has
+the flat index 8a + b and a vector is one such column.  Entries are QRat,
+except where the spectral variables enter: Delta(e_0) and Delta(f_0) have
+Laurent entries in (x, y), and so does every vector that one of them has
+acted on.
 """
 
 from .exactalg import (
-    Laurent, QR_ZERO, QR_ONE, Q_POW, mat_mul, q_factorial, q_int, q_power,
-    solve_linear, sparse_mul,
+    Laurent, QR_ZERO, QR_ONE, Q_POW, kron, lincomb, q_factorial, q_int,
+    q_power, solve_linear, sparse_mul,
 )
 
 DIM = 8
@@ -36,14 +36,13 @@ WEIGHTS = (
     (0, 0, 0),
 )
 
+# the identity on V1
+ONE = [{k: QR_ONE} for k in range(DIM)]
+
 
 def qi_power(i, k):
     """q_i^k with q_0 = q_1 = q, q_2 = q^3."""
     return q_power(Q_POW[i] * k)
-
-
-def _zeros():
-    return [[QR_ZERO] * DIM for _ in range(DIM)]
 
 
 class Rep8:
@@ -53,10 +52,16 @@ class Rep8:
         self.weights = weights
 
     def t_matrix(self, i, power=1):
-        m = _zeros()
-        for k in range(DIM):
-            m[k][k] = qi_power(i, power * self.weights[k][i])
-        return m
+        return [{k: qi_power(i, power * self.weights[k][i])}
+                for k in range(DIM)]
+
+
+def _columns(entries):
+    """8 sparse columns from {(row, col): entry}."""
+    cols = [{} for _ in range(DIM)]
+    for (r, c), x in entries.items():
+        cols[c][r] = x
+    return cols
 
 
 def build_v1():
@@ -64,111 +69,76 @@ def build_v1():
     three_over_two = q_int(3) / two
     inv_two = QR_ONE / two
 
-    E = [_zeros() for _ in range(3)]
-    F = [_zeros() for _ in range(3)]
-    # e_0 v1 = vphi + (1/[2]) v0, e_0 v2 = v3b, e_0 v3 = v2b,
-    # e_0 v0 = v1b, e_0 vphi = ([3]/[2]) v1b
-    E[0][7][0] = QR_ONE
-    E[0][3][0] = inv_two
-    E[0][4][1] = QR_ONE
-    E[0][5][2] = QR_ONE
-    E[0][6][3] = QR_ONE
-    E[0][6][7] = three_over_two
-    # f_0 v1b = vphi + (1/[2]) v0, f_0 v2b = v3, f_0 v3b = v2,
-    # f_0 v0 = v1, f_0 vphi = ([3]/[2]) v1
-    F[0][7][6] = QR_ONE
-    F[0][3][6] = inv_two
-    F[0][2][5] = QR_ONE
-    F[0][1][4] = QR_ONE
-    F[0][0][3] = QR_ONE
-    F[0][0][7] = three_over_two
-    # e_1 v2 = v1, e_1 v0 = [2] v3, e_1 v3b = v0, e_1 v1b = v2b
-    E[1][0][1] = QR_ONE
-    E[1][2][3] = two
-    E[1][3][4] = QR_ONE
-    E[1][5][6] = QR_ONE
-    # f_1 v2b = v1b, f_1 v0 = [2] v3b, f_1 v3 = v0, f_1 v1 = v2
-    F[1][6][5] = QR_ONE
-    F[1][4][3] = two
-    F[1][3][2] = QR_ONE
-    F[1][1][0] = QR_ONE
-    # e_2 v3 = v2, e_2 v2b = v3b
-    E[2][1][2] = QR_ONE
-    E[2][4][5] = QR_ONE
-    # f_2 v3b = v2b, f_2 v2 = v3
-    F[2][5][4] = QR_ONE
-    F[2][2][1] = QR_ONE
-    return Rep8(E, F, WEIGHTS)
+    E = [
+        # e_0 v1 = vphi + (1/[2]) v0, e_0 v2 = v3b, e_0 v3 = v2b,
+        # e_0 v0 = v1b, e_0 vphi = ([3]/[2]) v1b
+        {(7, 0): QR_ONE, (3, 0): inv_two, (4, 1): QR_ONE, (5, 2): QR_ONE,
+         (6, 3): QR_ONE, (6, 7): three_over_two},
+        # e_1 v2 = v1, e_1 v0 = [2] v3, e_1 v3b = v0, e_1 v1b = v2b
+        {(0, 1): QR_ONE, (2, 3): two, (3, 4): QR_ONE, (5, 6): QR_ONE},
+        # e_2 v3 = v2, e_2 v2b = v3b
+        {(1, 2): QR_ONE, (4, 5): QR_ONE},
+    ]
+    F = [
+        # f_0 v1b = vphi + (1/[2]) v0, f_0 v2b = v3, f_0 v3b = v2,
+        # f_0 v0 = v1, f_0 vphi = ([3]/[2]) v1
+        {(7, 6): QR_ONE, (3, 6): inv_two, (2, 5): QR_ONE, (1, 4): QR_ONE,
+         (0, 3): QR_ONE, (0, 7): three_over_two},
+        # f_1 v2b = v1b, f_1 v0 = [2] v3b, f_1 v3 = v0, f_1 v1 = v2
+        {(6, 5): QR_ONE, (4, 3): two, (3, 2): QR_ONE, (1, 0): QR_ONE},
+        # f_2 v3b = v2b, f_2 v2 = v3
+        {(5, 4): QR_ONE, (2, 1): QR_ONE},
+    ]
+    return Rep8([_columns(m) for m in E], [_columns(m) for m in F], WEIGHTS)
 
 
 # ---------------------------------------------------------------------------
 # defining relations
 
 
-def _mm(a, b):
-    return mat_mul(a, b, QR_ZERO)
-
-
-def _msub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mscale(a, c):
-    return [[x * c for x in row] for row in a]
-
-
-def _is_zero(m):
-    return all(not x for row in m for x in row)
-
-
-def _identity():
-    m = _zeros()
-    for k in range(DIM):
-        m[k][k] = QR_ONE
-    return m
-
-
-def _serre_sum(rep, mats, i, j):
+def _serre_sum(mats, i, j):
     """sum_n (-1)^n X_i^(n) X_j X_i^(l-n) with l = 1 - <h_i, alpha_j>."""
     l = 1 - CARTAN[i][j]
-    powers = [_identity()]
+    powers = [ONE]
     for _ in range(l):
-        powers.append(_mm(powers[-1], mats[i]))
-    acc = _zeros()
+        powers.append(sparse_mul(powers[-1], mats[i]))
+    terms = []
     sign = QR_ONE
     for n in range(l + 1):
         coeff = sign / (q_factorial(n, i) * q_factorial(l - n, i))
-        term = _mscale(_mm(_mm(powers[n], mats[j]), powers[l - n]), coeff)
-        acc = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(acc, term)]
+        terms.append((coeff, sparse_mul(sparse_mul(powers[n], mats[j]),
+                                        powers[l - n])))
         sign = -sign
-    return acc
+    return lincomb(terms)
 
 
 def check_defining_relations(rep):
-    """Dict relation name -> bool; all must hold for a module structure."""
+    """Dict relation name -> bool; all must hold for a module structure.
+    Sides are compared with == and zero tested as all columns empty, which
+    is exact because no matrix stores a zero entry."""
     out = {}
     tmats = [rep.t_matrix(i) for i in range(3)]
     tinvs = [rep.t_matrix(i, -1) for i in range(3)]
     for i in range(3):
         for j in range(3):
-            out[f"t{i}t{j}=t{j}t{i}"] = _is_zero(
-                _msub(_mm(tmats[i], tmats[j]), _mm(tmats[j], tmats[i])))
-            lhs = _mm(_mm(tmats[i], rep.E[j]), tinvs[i])
-            out[f"t{i}e{j}t{i}^-1"] = _is_zero(
-                _msub(lhs, _mscale(rep.E[j], qi_power(i, CARTAN[i][j]))))
-            lhs = _mm(_mm(tmats[i], rep.F[j]), tinvs[i])
-            out[f"t{i}f{j}t{i}^-1"] = _is_zero(
-                _msub(lhs, _mscale(rep.F[j], qi_power(i, -CARTAN[i][j]))))
-            comm = _msub(_mm(rep.E[i], rep.F[j]), _mm(rep.F[j], rep.E[i]))
+            out[f"t{i}t{j}=t{j}t{i}"] = (sparse_mul(tmats[i], tmats[j])
+                                         == sparse_mul(tmats[j], tmats[i]))
+            for name, mat, k in (("e", rep.E[j], CARTAN[i][j]),
+                                 ("f", rep.F[j], -CARTAN[i][j])):
+                lhs = sparse_mul(sparse_mul(tmats[i], mat), tinvs[i])
+                out[f"t{i}{name}{j}t{i}^-1"] = (
+                    lhs == lincomb([(qi_power(i, k), mat)]))
+            comm = lincomb([(QR_ONE, sparse_mul(rep.E[i], rep.F[j])),
+                            (-QR_ONE, sparse_mul(rep.F[j], rep.E[i]))])
             if i == j:
-                denom = qi_power(i, 1) - qi_power(i, -1)
-                rhs = _mscale(_msub(tmats[i], tinvs[i]), QR_ONE / denom)
-                out[f"[e{i},f{i}]"] = _is_zero(_msub(comm, rhs))
+                c = QR_ONE / (qi_power(i, 1) - qi_power(i, -1))
+                out[f"[e{i},f{i}]"] = comm == lincomb([(c, tmats[i]),
+                                                       (-c, tinvs[i])])
             else:
-                out[f"[e{i},f{j}]=0"] = _is_zero(comm)
+                out[f"[e{i},f{j}]=0"] = not any(comm)
             if i != j:
-                out[f"serre_e({i},{j})"] = _is_zero(_serre_sum(rep, rep.E, i, j))
-                out[f"serre_f({i},{j})"] = _is_zero(_serre_sum(rep, rep.F, i, j))
+                out[f"serre_e({i},{j})"] = not any(_serre_sum(rep.E, i, j))
+                out[f"serre_f({i},{j})"] = not any(_serre_sum(rep.F, i, j))
     return out
 
 
@@ -176,12 +146,21 @@ def check_defining_relations(rep):
 # polarization
 
 
+def _adjoints(rep, i):
+    """The adjoints q_i^-1 t_i^-1 f_i of e_i and q_i^-1 t_i e_i of f_i
+    under the polarization."""
+    c = qi_power(i, -1)
+    return (lincomb([(c, sparse_mul(rep.t_matrix(i, -1), rep.F[i]))]),
+            lincomb([(c, sparse_mul(rep.t_matrix(i, 1), rep.E[i]))]))
+
+
 def build_polarization(rep):
     """The symmetric form with (t_i u, v) = (u, t_i v),
     (e_i u, v) = (u, q_i^-1 t_i^-1 f_i v), (f_i u, v) = (u, q_i^-1 t_i e_i v),
     normalized by (v1, v1) = 1, (u, vphi) = 0 off the trivial part,
     (vphi, vphi) = q[3]/[2].  Solved as a linear system; the solution must
-    be unique."""
+    be unique.  Returns the gram matrix as 8 sparse columns, column v
+    holding (u, v) at row u, and the dimension of the invariant forms."""
     n = DIM * DIM
     rows = []
 
@@ -199,19 +178,14 @@ def build_polarization(rep):
         for v in range(u + 1, DIM):
             add_zero_combination([(var(u, v), QR_ONE), (var(v, u), -QR_ONE)])
     for i in range(3):
-        # adjoints of e_i and f_i; the t_i identity follows from these two
-        adj_e = _mscale(_mm(rep.t_matrix(i, -1), rep.F[i]), qi_power(i, -1))
-        adj_f = _mscale(_mm(rep.t_matrix(i, 1), rep.E[i]), qi_power(i, -1))
+        # the t_i identity follows from those of e_i and f_i
+        adj_e, adj_f = _adjoints(rep, i)
         for op, adj in ((rep.E[i], adj_e), (rep.F[i], adj_f)):
             for u in range(DIM):
                 for v in range(DIM):
                     # (op u, v) - (u, adj v) = 0
-                    coeffs = []
-                    for r in range(DIM):
-                        if op[r][u]:
-                            coeffs.append((var(r, v), op[r][u]))
-                        if adj[r][v]:
-                            coeffs.append((var(u, r), -adj[r][v]))
+                    coeffs = ([(var(r, v), c) for r, c in op[u].items()]
+                              + [(var(u, r), -c) for r, c in adj[v].items()])
                     if coeffs:
                         add_zero_combination(coeffs)
     # the kernel of the homogeneous system spans the invariant forms; the
@@ -227,25 +201,28 @@ def build_polarization(rep):
             f"polarization not unique: {sol.kind}, free dim {free_dim}")
     form = [sum((c * vec[k] for c, vec in zip(sol.particular, kernel)), QR_ZERO)
             for k in range(n)]
-    gram = [[form[var(u, v)] for v in range(DIM)] for u in range(DIM)]
+    gram = [{u: form[var(u, v)] for u in range(DIM) if form[var(u, v)]}
+            for v in range(DIM)]
     return gram, free_dim
+
+
+def _transpose(cols):
+    out = [{} for _ in cols]
+    for j, col in enumerate(cols):
+        for r, x in col.items():
+            out[r][j] = x
+    return out
 
 
 def check_polarization(rep, gram):
     """Exact matrix identities G = G^T, E_i^T G = G (q_i^-1 T_i^-1 F_i),
-    F_i^T G = G (q_i^-1 T_i E_i)."""
-    gt = [list(col) for col in zip(*gram)]
-    if gt != gram:
+    F_i^T G = G (q_i^-1 T_i E_i), with G as 8 sparse columns."""
+    if _transpose(gram) != gram:
         return False
     for i in range(3):
-        et = [list(col) for col in zip(*rep.E[i])]
-        ft = [list(col) for col in zip(*rep.F[i])]
-        adj_e = _mscale(_mm(rep.t_matrix(i, -1), rep.F[i]), qi_power(i, -1))
-        adj_f = _mscale(_mm(rep.t_matrix(i, 1), rep.E[i]), qi_power(i, -1))
-        if not _is_zero(_msub(_mm(et, gram), _mm(gram, adj_e))):
-            return False
-        if not _is_zero(_msub(_mm(ft, gram), _mm(gram, adj_f))):
-            return False
+        for op, adj in zip((rep.E[i], rep.F[i]), _adjoints(rep, i)):
+            if sparse_mul(_transpose(op), gram) != sparse_mul(gram, adj):
+                return False
     return True
 
 
@@ -264,32 +241,20 @@ def coproduct(rep, kind, i, swapped=False):
     e_0 carries the spectral variable of the factor it acts on and f_0 its
     inverse, so their entries are Laurent in (x, y); all other entries are
     QRat.  With swapped=True the first factor carries y and the second x."""
-    w = rep.weights
+    t = rep.t_matrix(i)
     if kind == "t":
-        return [{k: qi_power(i, w[k // DIM][i] + w[k % DIM][i])}
-                for k in range(DIM * DIM)]
-    mat = (rep.E if kind == "e" else rep.F)[i]
+        return kron(t, t)
+    m1 = m2 = QR_ONE
     if i == 0:
         s = 1 if kind == "e" else -1
-        mx, my = Laurent.mono((s, 0)), Laurent.mono((0, s))
-        m1, m2 = (my, mx) if swapped else (mx, my)
-    cols = []
-    for a in range(DIM):
-        for b in range(DIM):
-            if kind == "e":
-                c1, c2 = qi_power(i, -w[b][i]), QR_ONE
-            else:
-                c1, c2 = QR_ONE, qi_power(i, w[a][i])
-            if i == 0:
-                c1, c2 = c1 * m1, c2 * m2
-            # e_i and f_i have no diagonal entries, so the two terms
-            # never share a row
-            col = {DIM * r + b: mat[r][a] * c1
-                   for r in range(DIM) if mat[r][a]}
-            col.update((DIM * a + r, mat[r][b] * c2)
-                       for r in range(DIM) if mat[r][b])
-            cols.append(col)
-    return cols
+        m1, m2 = Laurent.mono((s, 0)), Laurent.mono((0, s))
+        if swapped:
+            m1, m2 = m2, m1
+    if kind == "e":
+        e = rep.E[i]
+        return lincomb([(m1, kron(e, rep.t_matrix(i, -1))), (m2, kron(ONE, e))])
+    f = rep.F[i]
+    return lincomb([(m1, kron(f, ONE)), (m2, kron(t, f))])
 
 
 def tensor_weight(k):
@@ -422,8 +387,8 @@ def verify_highest(rep=None):
 def gram_entries_integral(gram):
     """Each entry lies in Z[q, q^-1] localized at denominators with
     constant term 1 (after stripping powers of q)."""
-    for row in gram:
-        for x in row:
+    for col in gram:
+        for x in col.values():
             den = x.den
             v = 0
             while v < len(den) and den[v] == 0:

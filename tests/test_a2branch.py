@@ -170,3 +170,19 @@ def test_comm_example():
     lhs = a2.apply_word(base, [("f", 0, 1), ("f", 1, 0), ("f", 0, 1)], af.NONNEG)
     rhs = a2.lower_pqr(base, 2, 0, 0, af.NONNEG)
     assert lhs == rhs
+
+
+def test_broken_e1_arrow_fails_step2(monkeypatch):
+    # an e1 arrow of B_l that takes two steps at once breaks relation (iii')
+    orig = af.apply_op
+
+    def broken(kind, color, b, ctx):
+        out = orig(kind, color, b, ctx)
+        if (kind, color) == ("e", 1) and out is not None:
+            return orig(kind, color, out, ctx)
+        return out
+
+    assert a2.verify_step2_relations(3) == 145
+    monkeypatch.setattr(af, "apply_op", broken)
+    with pytest.raises(AssertionError, match="e1 arrow mismatch"):
+        a2.verify_step2_relations(3)

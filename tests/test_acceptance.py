@@ -60,7 +60,7 @@ def test_03_decomposition():
     ok = True
     total = 0
     for l in range(1, 6):
-        rows = a2.decompose(l, check_isomorphism=True)
+        rows = a2.decompose(l)
         sizes_ok = all(r["size"] == a2.a2_dim(r["j0"], r["j1"]) for r in rows)
         index_ok = [(r["i"], r["j0"], r["j1"]) for r in rows] == \
             sorted(a2.component_indices(l))

@@ -1,7 +1,9 @@
-"""Package-wide invariants: stdlib-only imports and no floating point."""
+"""Package-wide invariants: stdlib-only imports, no floating point, no
+unused import and no unreferenced top-level definition."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -63,3 +65,42 @@ def test_imports_are_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = _unused_imports(tree)
     assert not unused, f"{path.name} imports unused names {unused}"
+
+
+ROOT = Path(__file__).resolve().parent.parent
+SCANNED = sorted(p for d in ("src", "tests", "benchmarks")
+                 for p in (ROOT / d).rglob("*.py"))
+DEFS = (ast.FunctionDef, ast.ClassDef)
+
+
+def _reads(node, path, own):
+    """Keys of the names and attributes read under node: a name the file
+    defines at top level resolves to that file, any other name and every
+    attribute to the name alone."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            yield sub.attr, None
+        elif isinstance(sub, ast.Name):
+            yield sub.id, path if sub.id in own else None
+
+
+def test_every_top_level_definition_is_referenced():
+    # a top-level def or class of the package that nothing in src/, tests/
+    # or benchmarks/ reads outside its own body is dead code; a test oracle
+    # of the same name does not keep it alive
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in SCANNED}
+    owns = {path: {node.name for node in tree.body if isinstance(node, DEFS)}
+            for path, tree in trees.items()}
+    refs = Counter()
+    for path, tree in trees.items():
+        refs.update(_reads(tree, path, owns[path]))
+    dead = []
+    for path in SOURCES:
+        for node in trees[path].body:
+            if isinstance(node, DEFS):
+                inner = Counter(_reads(node, path, owns[path]))
+                keys = ((node.name, None), (node.name, path))
+                if all(refs[k] == inner[k] for k in keys):
+                    dead.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not dead, f"unreferenced definitions: {dead}"
