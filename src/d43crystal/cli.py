@@ -84,9 +84,11 @@ def cmd_tensor(args):
         return 0
     p1 = pf.check_P1(args.level)
     ok = p1["status"] == "pass"
-    # a broken crystal axiom leaves the components uncounted
-    payload["components"] = 1 if ok else p1.get("components")
+    # a failed check leaves the components uncounted
+    payload["components"] = 1 if ok else None
     payload["connected"] = p1["status"]
+    payload["highest_pairs"] = p1.get("highest_pairs")
+    payload["walk_steps"] = p1.get("walk_steps")
     _print_json(payload)
     return 0 if ok else 1
 

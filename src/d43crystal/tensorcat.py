@@ -1,7 +1,7 @@
 """B_l as one indexed table, the tensor rule on index pairs of
-B_l (x) B_l, union-find components (Tarjan, J. ACM 1975), the
-deterministic walk joining any element of B_l (x) B_l to phi (x) phi, and
-graph export.
+B_l (x) B_l and its {1,2}-highest pairs, union-find components of B_l
+(Tarjan, J. ACM 1975), the deterministic walk joining any element of
+B_l (x) B_l to phi (x) phi, and graph export.
 """
 
 from array import array
@@ -73,15 +73,18 @@ def tensor_f(table, i, a, b):
     return None if a < 0 or b < 0 else (a, b)
 
 
-def square_arrows(table):
-    """The f-arrows of B_l (x) B_l, the pair (a, b) numbered a*N + b."""
-    n = len(table.elements)
-    for a in range(n):
-        for b in range(n):
-            for i in COLORS:
-                nxt = tensor_f(table, i, a, b)
-                if nxt is not None:
-                    yield a * n + b, nxt[0] * n + nxt[1]
+def highest_pairs(table):
+    """The pairs (a, b) with eps_i(a) = 0 and eps_i(b) <= phi_i(a), i = 1, 2.
+    On a table that passes axiom_failure, exactly the pairs that no f_1/f_2
+    arrow of tensor_f enters: one enters from (e_i a, b) iff eps_i(a) > 0 and
+    phi_i(a) >= eps_i(b), and from (a, e_i b) iff phi_i(a) < eps_i(b)."""
+    (_, eps1, eps2), (_, phi1, phi2) = table.eps, table.phi
+    by_eps = {}
+    for b, key in enumerate(zip(eps1, eps2)):
+        by_eps.setdefault(key, []).append(b)
+    return [(a, b) for a in range(len(eps1)) if eps1[a] == eps2[a] == 0
+            for (e1, e2), bs in by_eps.items()
+            if e1 <= phi1[a] and e2 <= phi2[a] for b in bs]
 
 
 # ---------------------------------------------------------------------------
@@ -139,14 +142,11 @@ def connect_to_vacuum(l, pair):
         return cur
 
     def saturate(cur):
-        while True:
-            for i in (1, 2):
-                nxt = lower(i, cur)
-                if nxt is not None:
-                    cur = nxt
-                    break
-            else:
-                return cur
+        nxt = cur
+        while nxt is not None:
+            cur = nxt
+            nxt = lower(1, cur) or lower(2, cur)
+        return cur
 
     cur = saturate((table.index[pair[0]], table.index[pair[1]]))
     # now the right factor is a string of barred ones

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from d43crystal import cli
+from d43crystal import perfectness as pf
+from d43crystal import tensorcat as tc
 
 
 def run_cli(capsys, *argv):
@@ -86,6 +88,21 @@ def test_tensor_connected(capsys):
     doc = json.loads(out)
     assert doc["connected"] == "pass"
     assert doc["vertices"] == 64
+    assert doc["components"] == 1
+    assert (doc["highest_pairs"], doc["walk_steps"]) == (7, 80)
+
+
+def test_tensor_walk_failure_leaves_components_null(capsys, monkeypatch):
+    monkeypatch.setattr(pf, "check_P1", lambda l: {
+        "status": "fail", "reason": "vacuum walk", "pair": (tc.PHI, tc.PHI),
+        "error": "final 0-steps ended early"})
+    code, out, _ = run_cli(capsys, "tensor", "--level", "1",
+                           "--check-connected")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["connected"] == "fail"
+    assert doc["components"] is None
+    assert doc["highest_pairs"] is None
 
 
 def test_check_perfect(capsys):
@@ -95,6 +112,12 @@ def test_check_perfect(capsys):
     assert doc["P1"] == "pass"
     assert doc["P3"] == "skipped"
     assert [0, 0, 0, 0, 0, 0] in doc["minimal"]
+
+
+def test_check_perfect_level_7_checks_P1(capsys):
+    code, out, _ = run_cli(capsys, "check", "perfect", "--level", "7")
+    assert code == 0
+    assert json.loads(out)["P1"] == "pass"
 
 
 def test_verify_lemmas(capsys):

@@ -55,11 +55,6 @@ def test_psi_values():
     assert pf.psi(4, -2, 6, 2) == 2 * pf.psi(2, -1, 3, 1)
 
 
-def test_psi_homogeneity_failure_detected():
-    r = pf.check_psi_positive(radius=1, homog_samples=[(0, 0, 0, 0)])
-    assert r["status"] == "pass"
-
-
 @pytest.mark.parametrize("l", range(1, 5))
 def test_psi_matches_level_defect(l):
     assert pf.check_psi_level_consistency(l)["status"] == "pass"
@@ -77,4 +72,7 @@ def test_report_shape():
     rep = pf.perfectness_report(5)
     assert rep["P1"]["status"] == "pass"
     rep = pf.perfectness_report(7)
+    assert rep["P1"]["status"] == "pass"
+    assert rep["P1"]["vertices"] == 2640 ** 2
+    rep = pf.perfectness_report(13)
     assert rep["P1"]["status"] == "skipped"

@@ -1,5 +1,6 @@
-"""The indexed table of B_l, the tensor rule on index pairs, union-find
-components, the vacuum walk and graph export.
+"""The indexed table of B_l, the tensor rule on index pairs and its
+{1,2}-highest pairs, union-find components, P1 by vacuum walks and graph
+export.
 
 The closure-based crystals, the tuple-pair tensor rule and the BFS that
 the table replaced are kept below, renamed oracle_*, as the reference."""
@@ -238,16 +239,7 @@ def test_table_satisfies_the_crystal_axioms(l):
 
 
 # ---------------------------------------------------------------------------
-# components: union-find against the BFS
-
-
-@pytest.mark.parametrize("l", [1, 2])
-def test_tensor_square_is_connected(l):
-    table = tc.level_crystal(l)
-    n = len(table.elements)
-    parent = tc.union_find(n * n, tc.square_arrows(table))
-    assert [v for v, p in enumerate(parent) if p == v] == [0]
-    assert n * n == af.bl_cardinality(l) ** 2
+# components of B_l: union-find against the BFS
 
 
 def test_level_crystal_component_count_colors_01():
@@ -267,11 +259,6 @@ def test_components_match_bfs(l):
     assert [comp[0] for comp in got] == sorted(comp[0] for comp in got)
 
 
-@pytest.mark.parametrize("l", range(1, 5))
-def test_check_P1_matches_oracle(l):
-    assert pf.check_P1(l) == oracle_check_P1(l)
-
-
 def test_components_without_0_arrows():
     l = 2
     table = tc.level_crystal(l)
@@ -280,6 +267,55 @@ def test_components_without_0_arrows():
     assert len(got) > 1
     want = oracle_connected_components(oracle_level_crystal(l), colors=(1, 2))
     assert _partition(got) == _partition(want)
+
+
+# ---------------------------------------------------------------------------
+# P1: the highest pairs and their vacuum walks
+
+
+def _no_incoming_12_arrow(table):
+    """The pairs that no f_1 or f_2 arrow of tensor_f enters, by scanning
+    every arrow of B_l (x) B_l."""
+    n = len(table.elements)
+    hit = {tc.tensor_f(table, i, a, b) for a in range(n) for b in range(n)
+           for i in (1, 2)}
+    return {(a, b) for a in range(n) for b in range(n)} - hit
+
+
+@pytest.mark.parametrize("l,count", [(1, 7), (2, 30), (3, 95), (4, 248),
+                                     (5, 565)])
+def test_highest_pairs_are_the_pairs_without_incoming_12_arrows(l, count):
+    table = tc.level_crystal(l)
+    got = tc.highest_pairs(table)
+    assert len(got) == len(set(got)) == count
+    assert set(got) == _no_incoming_12_arrow(table)
+
+
+@pytest.mark.parametrize("l", range(1, 5))
+def test_check_P1_matches_oracle(l):
+    got, want = pf.check_P1(l), oracle_check_P1(l)
+    assert got["status"] == want["status"] == "pass"
+    assert got["vertices"] == want["vertices"]
+    assert got["method"] == "highest-pair walks"
+    assert got["highest_pairs"] == len(tc.highest_pairs(tc.level_crystal(l)))
+    assert got["walk_steps"] > 0
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_check_P1_fails_on_a_wrong_tensor_rule(monkeypatch, l):
+    def tensor_f_ge(table, i, a, b):
+        # >= in place of >: f_i acts on a once phi_i(a) reaches eps_i(b)
+        if table.phi[i][a] >= table.eps[i][b]:
+            a = table.f[i][a]
+        else:
+            b = table.f[i][b]
+        return None if a < 0 or b < 0 else (a, b)
+
+    monkeypatch.setattr(tc, "tensor_f", tensor_f_ge)
+    got = pf.check_P1(l)
+    assert got["status"] == "fail"
+    assert got["reason"] == "vacuum walk"
+    assert "components" not in got
 
 
 def _without_color_0(table):
@@ -297,11 +333,12 @@ def test_check_P1_reports_components_of_a_disconnected_square(monkeypatch):
     assert tc.axiom_failure(cut) is None
     monkeypatch.setattr(tc, "level_crystal", lambda level: cut)
     got = pf.check_P1(l)
-    _, t = _oracle_tensor(l)
-    want = oracle_connected_components(t, colors=(1, 2))
     assert got["status"] == "fail"
-    assert got["components"] == len(want) > 1
-    assert got["representatives"] == sorted(min(comp) for comp in want)
+    assert got["reason"] == "vacuum walk"
+    _, t = _oracle_tensor(l)
+    comps = oracle_connected_components(t, colors=(1, 2))
+    vacuum = next(comp for comp in comps if (tc.PHI, tc.PHI) in comp)
+    assert got["pair"] not in vacuum
 
 
 def _corrupt(table, field, i, a, value):
