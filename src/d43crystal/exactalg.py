@@ -13,8 +13,17 @@ fraction-free: p_gcd splits off the common power of q and runs a primitive
 remainder sequence over Z, and p_divexact is integer long division that
 raises as soon as a quotient coefficient is not an integer.  QRat keeps
 every value as a reduced fraction of two such polynomials; the product,
-sum or difference of two values with denominator 1 needs no gcd.  All
-arithmetic is exact; no floating point appears anywhere in this package.
+sum or difference of two values with denominator 1 needs no gcd.
+
+integer_images decides a matrix identity over Q(q) without QRat
+arithmetic: each matrix is cleared by one common denominator D in Z[q],
+and every coefficient is evaluated at q = 2^w.  With N the largest total
+coefficient 1-norm of a cleared matrix and k factors in the longest
+product, w = (2 N^k).bit_length() + 1 keeps every coefficient of the
+difference of the two sides below 2^(w-1) in absolute value, where
+evaluation at 2^w is injective, so == on the integer images is exact.
+All arithmetic is exact; no floating point appears anywhere in this
+package.
 """
 
 from fractions import Fraction
@@ -445,13 +454,22 @@ class Laurent:
     def __sub__(self, other):
         return self + (-other)
 
+    def _scaled(self, c):
+        """self times the coefficient c, on self's exponent tuples."""
+        out = Laurent(self.arity)
+        if c:
+            out.terms = {e: v * c for e, v in self.terms.items()}
+        return out
+
     def __mul__(self, other):
         if isinstance(other, QRat):
-            if not other:
-                return Laurent(self.arity)
-            out = Laurent(self.arity)
-            out.terms = {e: c * other for e, c in self.terms.items()}
-            return out
+            return self._scaled(other)
+        # a constant factor scales the other one
+        zero = (0,) * self.arity
+        if len(other.terms) == 1 and zero in other.terms:
+            return self._scaled(other.terms[zero])
+        if len(self.terms) == 1 and zero in self.terms:
+            return other._scaled(self.terms[zero])
         t = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -613,3 +631,69 @@ def lincomb(terms):
     stacked = [col for _, m in terms for col in m]
     return sparse_mul(stacked, [{k * n + j: c for k, (c, _) in enumerate(terms)}
                                 for j in range(n)])
+
+
+# ---------------------------------------------------------------------------
+# deciding matrix identities over Z
+
+
+def _p_lcm(a, b):
+    """lcm in Z[q] of two polynomials with positive leading coefficients:
+    the gcd is the primitive gcd times the gcd of the contents."""
+    g = p_mul(p_gcd(a, b), (int_gcd(p_content(a), p_content(b)),))
+    return p_mul(p_divexact(a, g), b)
+
+
+def integer_images(groups, k):
+    """Integer images of the matrices of one identity between products of
+    at most k factors, and the exponent w of the evaluation point 2^w.
+
+    groups is a list of groups of sparse column matrices with QRat or
+    Laurent-over-QRat entries.  Each group is scaled by one common
+    denominator D in Z[q], the lcm of its QRat denominators, so that every
+    coefficient becomes a polynomial over Z; matrices that stand at the
+    same place on the two sides of the identity go in one group, so that
+    both sides carry the same scale.  Each cleared coefficient is then
+    evaluated at q = 2^w, and the images are returned in the shape of
+    groups, with Laurent entries whose coefficients are ints.
+
+    Let N be the largest total coefficient 1-norm of a cleared matrix.  N
+    bounds the coefficient 1-norm of every column, also of a lift of the
+    matrix to a larger tensor power, so every coefficient of a product of
+    k cleared factors is at most N^k in absolute value, and of the
+    difference of two such products at most 2 N^k < 2^(w-1) for
+    w = (2 N^k).bit_length() + 1.  A polynomial over Z with coefficients
+    below 2^(w-1) in absolute value vanishes at 2^w only if it is zero,
+    because balanced base-2^w digits are unique.  Evaluation at 2^w is a
+    ring map, so == on products of the images decides the identity over
+    Q(q) exactly (Kronecker substitution; von zur Gathen and Gerhard,
+    Modern Computer Algebra, 8.4).
+    """
+    arity = max((v.arity for group in groups for m in group for col in m
+                 for v in col.values() if isinstance(v, Laurent)), default=0)
+    zero = (0,) * arity
+
+    def terms(v):
+        return v.terms.items() if isinstance(v, Laurent) else ((zero, v),)
+
+    cleared, norm = [], 0
+    for group in groups:
+        coeffs = {c for m in group for col in m for v in col.values()
+                  for _, c in terms(v)}
+        den = P_ONE
+        for d in {c.den for c in coeffs}:
+            den = _p_lcm(den, d)
+        polys = {c: p_mul(c.num, p_divexact(den, c.den)) for c in coeffs}
+        cleared.append(polys)
+        size = {c: sum(map(abs, p)) for c, p in polys.items()}
+        for m in group:
+            norm = max(norm, sum(size[c] for col in m for v in col.values()
+                                 for _, c in terms(v)))
+    w = (2 * norm ** k).bit_length() + 1
+    images = []
+    for group, polys in zip(groups, cleared):
+        at = {c: p_eval_hom(p, 1 << w, 1) for c, p in polys.items()}
+        images.append([[{row: Laurent(arity, {e: at[c] for e, c in terms(v)})
+                         for row, v in col.items()} for col in m]
+                       for m in group])
+    return images, w

@@ -215,10 +215,12 @@ def _transpose(cols):
 
 
 def check_polarization(rep, gram):
-    """Exact matrix identities G = G^T, E_i^T G = G (q_i^-1 T_i^-1 F_i),
-    F_i^T G = G (q_i^-1 T_i E_i), with G as 8 sparse columns."""
-    if _transpose(gram) != gram:
-        return False
+    """Exact matrix identities E_i^T G = G (q_i^-1 T_i^-1 F_i) and
+    F_i^T G = G (q_i^-1 T_i E_i), with G as 8 sparse columns.  V1 is
+    irreducible, so by Schur's lemma the forms that satisfy these adjoint
+    identities span at most one dimension; the symmetric form of
+    build_polarization (free_dim = 1) spans it.  Every G that passes is
+    thus symmetric, and a G = G^T test could never decide the verdict."""
     for i in range(3):
         for op, adj in zip((rep.E[i], rep.F[i]), _adjoints(rep, i)):
             if sparse_mul(_transpose(op), gram) != sparse_mul(gram, adj):

@@ -12,7 +12,8 @@ from fractions import Fraction
 from math import lcm
 
 from .exactalg import (
-    Laurent, QR_ZERO, QR_ONE, lp2_poly_z, q_power, solve_linear, sparse_mul,
+    Laurent, QR_ZERO, QR_ONE, integer_images, lp2_poly_z, q_power,
+    solve_linear, sparse_mul,
 )
 from . import fundrep as fr
 
@@ -297,17 +298,17 @@ def _sparse_eq(a_cols, b_cols):
 
 
 def verify_intertwiner(R, rep=None):
-    """R Delta_{x,y}(g) = Delta_{y,x}(g) R for all nine generators."""
+    """R Delta_{x,y}(g) = Delta_{y,x}(g) R for all nine generators, decided
+    over Z by integer_images with k = 2: R is cleared once, Delta(g) and
+    its swap share one denominator, and one w serves all nine."""
     if rep is None:
         rep = fr.build_v1()
-    out = {}
-    for kind in ("e", "f", "t"):
-        for i in range(3):
-            a = fr.coproduct(rep, kind, i)
-            b = fr.coproduct(rep, kind, i, swapped=True)
-            out[f"{kind}{i}"] = _sparse_eq(
-                sparse_mul(R.cols, a), sparse_mul(b, R.cols))
-    return out
+    gens = [(kind, i) for kind in ("e", "f", "t") for i in range(3)]
+    pairs = [[fr.coproduct(rep, kind, i),
+              fr.coproduct(rep, kind, i, swapped=True)] for kind, i in gens]
+    ((r,), *images), _ = integer_images([[R.cols]] + pairs, 2)
+    return {f"{kind}{i}": _sparse_eq(sparse_mul(r, a), sparse_mul(b, r))
+            for (kind, i), (a, b) in zip(gens, images)}
 
 
 def vacuum_eigenvalue(R):
@@ -360,8 +361,10 @@ def verify_determinants():
 
 
 def verify_R_Rswap_scalar(R):
-    """R(x,y) R(y,x) is a scalar multiple of the identity."""
-    prod = sparse_mul(R.cols, R.swapped().cols)
+    """R(x,y) R(y,x) is a scalar multiple of the identity, decided over Z
+    by integer_images with k = 2; R and R(y,x) share one denominator."""
+    ((r, s),), _ = integer_images([[R.cols, R.swapped().cols]], 2)
+    prod = sparse_mul(r, s)
     scalar = prod[0].get(0)
     if scalar is None:
         return False
@@ -369,7 +372,7 @@ def verify_R_Rswap_scalar(R):
         col = prod[k]
         if set(col) - {k}:
             return False
-        if col.get(k, Laurent(2)) != scalar:
+        if col.get(k) != scalar:
             return False
     return True
 
@@ -501,22 +504,24 @@ def _lift_arity3(lp, vars2):
     return out
 
 
-def _symbolic_cols(R, vars2, lift):
-    cols = [{row: _lift_arity3(v, vars2) for row, v in col.items()}
-            for col in R.cols]
-    return lift(cols)
+def _symbolic_cols(cols, vars2, lift):
+    return lift([{row: _lift_arity3(v, vars2) for row, v in col.items()}
+                 for col in cols])
 
 
 def verify_yang_baxter_symbolic(R=None):
-    """Exact three-variable identity; slow but complete."""
+    """Exact three-variable identity, decided over Z by integer_images with
+    k = 3: R is cleared once, and each side holds one factor of each of
+    R(x,y), R(x,z) and R(y,z)."""
     if R is None:
         R = build_R()
-    rxy12 = _symbolic_cols(R, (0, 1), _lift12)
-    rxz23 = _symbolic_cols(R, (0, 2), _lift23)
-    ryz12 = _symbolic_cols(R, (1, 2), _lift12)
-    rxy23 = _symbolic_cols(R, (0, 1), _lift23)
-    rxz12 = _symbolic_cols(R, (0, 2), _lift12)
-    ryz23 = _symbolic_cols(R, (1, 2), _lift23)
+    ((r,),), _ = integer_images([[R.cols]], 3)
+    rxy12 = _symbolic_cols(r, (0, 1), _lift12)
+    rxz23 = _symbolic_cols(r, (0, 2), _lift23)
+    ryz12 = _symbolic_cols(r, (1, 2), _lift12)
+    rxy23 = _symbolic_cols(r, (0, 1), _lift23)
+    rxz12 = _symbolic_cols(r, (0, 2), _lift12)
+    ryz23 = _symbolic_cols(r, (1, 2), _lift23)
     lhs = sparse_mul(ryz12, sparse_mul(rxz23, rxy12))
     rhs = sparse_mul(rxy23, sparse_mul(rxz12, ryz23))
     return _sparse_eq(lhs, rhs)

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from d43crystal.exactalg import (
-    Laurent, P_ZERO, QRat, QR_ONE, QR_ZERO, lp2_poly_z, p_add, p_content,
-    p_divexact, p_gcd, p_mul, p_neg, p_primitive, p_trim, q_factorial, q_int,
-    q_power, solve_linear,
+    Laurent, P_ZERO, QRat, QR_ONE, QR_ZERO, integer_images, lp2_poly_z, p_add,
+    p_content, p_divexact, p_gcd, p_mul, p_neg, p_primitive, p_trim,
+    q_factorial, q_int, q_power, solve_linear, sparse_mul,
 )
 
 small_poly = st.lists(st.integers(-9, 9), min_size=0, max_size=5).map(p_trim)
@@ -245,6 +245,19 @@ def test_qrat_times_laurent_is_the_scalar_product():
     assert QR_ZERO * z == Laurent(2)
 
 
+def test_constant_factor_scales_on_the_same_exponent_tuples():
+    z = lp2_poly_z([1, 2, QRat((0, 1), (1, 0, 1))])
+    c = QRat((1, 1), (0, 0, 3))
+    const = Laurent.const(2, c)
+    for prod in (z * const, const * z):
+        assert prod.terms == {e: v * c for e, v in z.terms.items()}
+        assert {id(e) for e in prod.terms} == {id(e) for e in z.terms}
+    assert const * const == Laurent.const(2, c * c)
+    # int coefficients, as in the images of integer_images
+    assert (Laurent(2, {(0, 0): 3}) * Laurent(2, {(1, -1): 5, (0, 0): -2})
+            == Laurent(2, {(1, -1): 15, (0, 0): -6}))
+
+
 def test_solve_linear_unique():
     one, zero = QR_ONE, QR_ZERO
     q = QRat((0, 1))
@@ -335,3 +348,90 @@ def test_subst_q_matches_reference(x, qv):
     got = a.subst_q(qv)
     assert isinstance(got, Fraction)
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# integer_images against the QRat product
+
+
+def _laurent1(draw):
+    """A Laurent polynomial in one variable with one or two QRat
+    coefficients of mixed denominators."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 2))):
+        terms[(draw(st.integers(-1, 1)),)] = QRat(*draw(fractions_in_q()))
+    return Laurent(1, terms)
+
+
+@st.composite
+def mixed_matrices(draw, n):
+    """n x n sparse columns holding QRats and Laurent polynomials over
+    them; the two kinds of entry are mixed within one matrix."""
+    cols = []
+    for _ in range(n):
+        col = {}
+        for row in range(n):
+            kind = draw(st.sampled_from(("zero", "qrat", "laurent")))
+            if kind == "qrat":
+                v = QRat(*draw(fractions_in_q()))
+            elif kind == "laurent":
+                v = _laurent1(draw)
+            else:
+                continue
+            if v:
+                col[row] = v
+        cols.append(col)
+    return cols
+
+
+@st.composite
+def bumps(draw):
+    """Nothing, a random Laurent polynomial, or (q - 2^m) z: a polynomial
+    that an evaluation at q = 2^m would miss."""
+    kind = draw(st.sampled_from(("none", "laurent", "aimed")))
+    if kind == "none":
+        return Laurent(1)
+    if kind == "laurent":
+        return _laurent1(draw)
+    return Laurent(1, {(1,): QRat((-(2 ** draw(st.integers(1, 64))), 1))})
+
+
+def _as_laurent(m):
+    return [{row: v if isinstance(v, Laurent) else Laurent.const(1, v)
+             for row, v in col.items()} for col in m]
+
+
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(mixed_matrices(n), mixed_matrices(n), bumps())))
+@settings(max_examples=150, deadline=None)
+def test_integer_images_decide_a_product_as_qrat_does(case):
+    a, b, bump = case
+    n = len(a)
+    # C = A B, perhaps with its (0, 0) entry moved; A B = C I over QRat
+    c = sparse_mul(_as_laurent(a), _as_laurent(b))
+    c0 = c[0].get(0, Laurent(1)) + bump
+    c[0] = {**c[0], 0: c0} if c0 else {r: v for r, v in c[0].items() if r}
+    ident = [{j: QR_ONE} for j in range(n)]
+    ((ia, ic), (ib, ii)), _ = integer_images([[a, c], [b, ident]], 2)
+    images = [ia, ib, ic, ii]
+    assert [[set(col) for col in m] for m in images] == [
+        [set(col) for col in m] for m in (a, b, c, ident)]
+    assert all(type(x) is int for m in images for col in m
+               for v in col.values() for x in v.terms.values())
+    want = sparse_mul(_as_laurent(a), _as_laurent(b)) == c
+    assert (sparse_mul(ia, ib) == sparse_mul(ic, ii)) == want
+
+
+@pytest.mark.parametrize("n,c", [(1, QRat(8)), (8, QR_ONE)])
+def test_integer_images_bound_counts_factors_and_repeated_entries(n, c):
+    """(cJ)(cJ) = qJ is false, with J the n x n all-ones matrix, but
+    n c^2 = 2^6 for n = 1, c = 8 and 2^3 for n = 8, c = 1.  A w that left
+    out the factor count k, or counted a repeated coefficient once, would
+    evaluate at q = 2^6 or 2^3 and find the two sides equal."""
+    def filled(v):
+        return [{r: v for r in range(n)} for _ in range(n)]
+
+    ident = [{j: QR_ONE} for j in range(n)]
+    ((ia, iq), (ib, ii)), _ = integer_images(
+        [[filled(c), filled(QRat((0, 1)))], [filled(c), ident]], 2)
+    assert sparse_mul(ia, ib) != sparse_mul(iq, ii)

@@ -7,7 +7,7 @@ import pytest
 from d43crystal import rmatrix as rm
 from d43crystal import fundrep as fr
 from d43crystal.exactalg import (
-    QRat, Laurent, QR_ONE, QR_ZERO, q_power, solve_linear,
+    QRat, Laurent, QR_ONE, QR_ZERO, integer_images, q_power, solve_linear,
 )
 
 YBE_POINTS = [
@@ -110,10 +110,12 @@ def test_determinant_identities():
 def test_intertwiner(R, rep):
     checks = rm.verify_intertwiner(R, rep)
     assert checks and all(checks.values()), checks
+    assert oracle_verify_intertwiner(R, rep) == checks
 
 
 def test_R_Rswap_scalar(R):
     assert rm.verify_R_Rswap_scalar(R)
+    assert oracle_verify_R_Rswap_scalar(R)
 
 
 def test_coefficient_normalizations():
@@ -409,6 +411,81 @@ def test_yang_baxter_without_samples_fails(R):
 @pytest.mark.slow
 def test_yang_baxter_symbolic(R):
     assert rm.verify_yang_baxter_symbolic(R)
+
+
+# ---------------------------------------------------------------------------
+# the QRat bodies of the intertwiner and R.R-swap checks, kept as test-only
+# oracles for the decisions over Z in rmatrix
+
+
+def oracle_verify_intertwiner(R, rep):
+    out = {}
+    for kind in ("e", "f", "t"):
+        for i in range(3):
+            a = fr.coproduct(rep, kind, i)
+            b = fr.coproduct(rep, kind, i, swapped=True)
+            out[f"{kind}{i}"] = rm._sparse_eq(
+                rm.sparse_mul(R.cols, a), rm.sparse_mul(b, R.cols))
+    return out
+
+
+def oracle_verify_R_Rswap_scalar(R):
+    prod = rm.sparse_mul(R.cols, R.swapped().cols)
+    scalar = prod[0].get(0)
+    if scalar is None:
+        return False
+    for k in range(N):
+        col = prod[k]
+        if set(col) - {k}:
+            return False
+        if col.get(k, Laurent(2)) != scalar:
+            return False
+    return True
+
+
+def test_checks_over_Z_use_the_expected_evaluation_points(R):
+    assert integer_images([[R.cols, R.swapped().cols]], 2)[1] == 29
+    assert integer_images([[R.cols]], 3)[1] == 43
+
+
+Z = (1, -1)  # the exponent of z = x/y
+# two polynomials that vanish at q = 2^29, where R.R-swap and the
+# intertwiner of the unperturbed R are evaluated: a perturbation that the
+# evaluation would miss unless w grows with the perturbed coefficients
+AIMED_AT_W = [QRat((-(2 ** 29), 1)), QRat((2 ** 60, 0, -4))]
+
+
+@pytest.mark.parametrize("col,row,add,fails", [
+    (9, 9, Laurent.mono(Z, QRat((0, 1), (1, 0, 1))), False),
+    (3, 10, None, False),
+    (0, 0, Laurent.mono(Z, QRat((1,), (1, 0, 1))), False),
+    (9, 9, Laurent.mono(Z, AIMED_AT_W[0]), True),   # (q - 2^29) z
+    (9, 9, Laurent.mono(Z, AIMED_AT_W[1]), True),   # (2^60 - 4q^2) z
+])
+def test_perturbed_R_checks_match_qrat_oracles(R, rep, col, row, add,
+                                               fails):
+    bad = _perturbed(R, col, row, add)
+    inter = rm.verify_intertwiner(bad, rep)
+    assert inter == oracle_verify_intertwiner(bad, rep)
+    rrswap = rm.verify_R_Rswap_scalar(bad)
+    assert rrswap is oracle_verify_R_Rswap_scalar(bad)
+    if fails:
+        assert not rrswap and not all(inter.values())
+
+
+def test_aimed_perturbations_vanish_at_the_unperturbed_point():
+    assert [c.subst_q(2 ** 29) for c in AIMED_AT_W] == [0, 0]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("add", [
+    Laurent.mono(Z, QRat((0, 1), (1, 0, 1))),
+    Laurent.mono(Z, QRat((-(2 ** 43), 1))),    # vanishes at q = 2^43
+])
+def test_yang_baxter_symbolic_fails_on_a_perturbed_R(R, add):
+    bad = _perturbed(R, 9, 9, add)
+    assert rm.yang_baxter_residual(bad, *YBE_SIGNED_POINTS[0]) > 0
+    assert not rm.verify_yang_baxter_symbolic(bad)
 
 
 def test_swapped_matrix(R):
