@@ -1,11 +1,16 @@
 """Exact arithmetic kernel: rational functions in q, sparse Laurent
-polynomials in spectral variables, Gaussian elimination over them, and the
-algebra of sparse column matrices.
+polynomials in spectral variables, Gauss-Jordan elimination over Q(q),
+and the algebra of sparse column matrices.
 
 A matrix is a list of sparse columns {row: entry} with no zero entry
 stored, so two matrices are equal exactly when their column lists are.
 sparse_mul multiplies two of them, kron takes their Kronecker product and
-lincomb a linear combination; solve_linear alone works on dense rows.
+lincomb a linear combination.  Echelon is the one eliminator: it keeps
+the columns added to it fully reduced, each with a 1 at its pivot.  Keys
+at or above its cut are tags that record which combination of the added
+columns a stored column is, so a tagged pass over [B | I] leaves B^-1 in
+the tags, and kernel reads a kernel basis off the tags of the columns
+that reduce to zero.
 
 Integer polynomials in q are plain tuples of ints, low degree first, with
 no trailing zeros; () is the zero polynomial.  The polynomial kernel is
@@ -267,11 +272,6 @@ class QRat:
             raise ZeroDivisionError("QRat division by zero")
         return self * QRat(other.den, other.num)
 
-    def inv(self):
-        if not self.num:
-            raise ZeroDivisionError("QRat inverse of zero")
-        return QRat(self.den, self.num)
-
     def subst_q(self, value):
         """Evaluate at an exact rational q-value n/d, over the integers."""
         value = Fraction(value)
@@ -285,20 +285,6 @@ class QRat:
         if shift >= 0:
             return Fraction(num * d ** shift, den)
         return Fraction(num, den * d ** -shift)
-
-    def bar(self):
-        """The image under q -> 1/q."""
-        if not self.num:
-            return QR_ZERO
-        dn, dd = len(self.num), len(self.den)
-        num = p_trim(reversed(self.num))
-        den = p_trim(reversed(self.den))
-        # num(1/q) = rev(num)/q^(dn-1); shift the power gap onto one side
-        if dn >= dd:
-            den = (0,) * (dn - dd) + den
-        else:
-            num = (0,) * (dd - dn) + num
-        return QRat(num, den)
 
     def __repr__(self):
         return f"QRat({self.num!r}, {self.den!r})"
@@ -522,71 +508,66 @@ def lp2_poly_z(coeffs):
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra (generic over any exact field element type)
+# exact linear algebra over Q(q)
 
 
-class LinearSolution:
-    """Result of exact Gaussian elimination: kind is 'unique',
-    'parametrized' (particular + kernel basis) or 'inconsistent'."""
+class Echelon:
+    """Sparse Gauss-Jordan elimination of QRat columns.
 
-    def __init__(self, kind, particular=None, kernel=None):
-        self.kind = kind
-        self.particular = particular
-        self.kernel = kernel or []
+    Keys below cut are coordinates; keys at cut or above are tags, which
+    ride along with the arithmetic and record which combination of the
+    added columns a stored column is.  Every stored column has a 1 at its
+    pivot, a coordinate key, and no other pivot among its keys."""
 
+    def __init__(self, cut):
+        self.cut = cut
+        self.cols = {}  # pivot -> stored column
 
-def solve_linear(rows, rhs, zero, one):
-    """Solve A x = b exactly over a field.
-
-    rows: list of rows of A; rhs: column b.  Returns a LinearSolution.
-    Entries must support +, -, *, /, unary -, and truth-testing for zero.
-    """
-    m = len(rows)
-    if len(rhs) != m:
-        raise ValueError("dimension mismatch between matrix and right-hand side")
-    n = len(rows[0]) if m else 0
-    for r in rows:
-        if len(r) != n:
-            raise ValueError("ragged matrix")
-    a = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    pivots = []
-    row = 0
-    for col in range(n):
-        piv = None
-        for r in range(row, m):
-            if a[r][col]:
-                piv = r
-                break
+    def add(self, col):
+        """Reduce col by the stored columns.  If a coordinate survives,
+        store the remainder with a 1 at its lowest coordinate, clear that
+        key from every other stored column and return None; otherwise
+        return the remainder, which holds tags only."""
+        col = dict(col)
+        for piv, stored in self.cols.items():
+            c = col.get(piv)
+            if c:
+                _sub_multiple(col, c, stored)
+        piv = min((k for k in col if k < self.cut), default=None)
         if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = one / a[row][col]
-        a[row] = [v * inv for v in a[row]]
-        for r in range(m):
-            if r != row and a[r][col]:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for r in range(row, m):
-        if a[r][n]:
-            return LinearSolution("inconsistent")
-    part = [zero] * n
-    for r, col in enumerate(pivots):
-        part[col] = a[r][n]
-    free = [c for c in range(n) if c not in pivots]
-    if not free:
-        return LinearSolution("unique", part)
-    kernel = []
-    for fc in free:
-        vec = [zero] * n
-        vec[fc] = one
-        for r, col in enumerate(pivots):
-            vec[col] = -a[r][fc]
-        kernel.append(vec)
-    return LinearSolution("parametrized", part, kernel)
+            return col
+        inv = QR_ONE / col[piv]
+        col = {k: v * inv for k, v in col.items()}
+        for stored in self.cols.values():
+            c = stored.get(piv)
+            if c:
+                _sub_multiple(stored, c, col)
+        self.cols[piv] = col
+        return None
+
+
+def _sub_multiple(col, c, other):
+    """col -= c * other in place, dropping the entries that cancel."""
+    for k, v in other.items():
+        s = col[k] - c * v if k in col else -(c * v)
+        if s:
+            col[k] = s
+        else:
+            del col[k]
+
+
+def kernel(cols, cut):
+    """A basis of the kernel of the matrix with sparse columns cols, whose
+    keys are below cut, as sparse vectors {column index: entry}: column j
+    is tagged with {cut + j: 1}, and each column that reduces to zero on
+    the coordinates leaves its tags as one kernel vector."""
+    ech = Echelon(cut)
+    out = []
+    for j, col in enumerate(cols):
+        rest = ech.add({**col, cut + j: QR_ONE})
+        if rest is not None:
+            out.append({k - cut: c for k, c in rest.items()})
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -654,8 +635,10 @@ def integer_images(groups, k):
     coefficient becomes a polynomial over Z; matrices that stand at the
     same place on the two sides of the identity go in one group, so that
     both sides carry the same scale.  Each cleared coefficient is then
-    evaluated at q = 2^w, and the images are returned in the shape of
-    groups, with Laurent entries whose coefficients are ints.
+    evaluated at q = 2^w.  w is fixed by all the groups at once, but the
+    images are yielded one group at a time, each in the shape of its group
+    with Laurent entries whose coefficients are ints, so a caller that
+    compares group by group never holds them all.
 
     Let N be the largest total coefficient 1-norm of a cleared matrix.  N
     bounds the coefficient 1-norm of every column, also of a lift of the
@@ -690,10 +673,10 @@ def integer_images(groups, k):
             norm = max(norm, sum(size[c] for col in m for v in col.values()
                                  for _, c in terms(v)))
     w = (2 * norm ** k).bit_length() + 1
-    images = []
-    for group, polys in zip(groups, cleared):
-        at = {c: p_eval_hom(p, 1 << w, 1) for c, p in polys.items()}
-        images.append([[{row: Laurent(arity, {e: at[c] for e, c in terms(v)})
-                         for row, v in col.items()} for col in m]
-                       for m in group])
-    return images, w
+
+    def images():
+        for group, polys in zip(groups, cleared):
+            at = {c: p_eval_hom(p, 1 << w, 1) for c, p in polys.items()}
+            yield [[{row: Laurent(arity, {e: at[c] for e, c in terms(v)})
+                     for row, v in col.items()} for col in m] for m in group]
+    return images(), w

@@ -14,8 +14,8 @@ acted on.
 """
 
 from .exactalg import (
-    Laurent, QR_ZERO, QR_ONE, Q_POW, kron, lincomb, q_factorial, q_int,
-    q_power, solve_linear, sparse_mul,
+    Laurent, QR_ZERO, QR_ONE, Q_POW, kernel, kron, lincomb, q_factorial, q_int,
+    q_power, sparse_mul,
 )
 
 DIM = 8
@@ -161,47 +161,43 @@ def build_polarization(rep):
     (vphi, vphi) = q[3]/[2].  Solved as a linear system; the solution must
     be unique.  Returns the gram matrix as 8 sparse columns, column v
     holding (u, v) at row u, and the dimension of the invariant forms."""
+    # with the form as the vector g, g[8u + v] = (u, v), the conditions
+    # are g = swap(g) and (op^T (x) 1 - 1 (x) adj^T) g = 0 for op = e_i, f_i
+    # (the t_i identity follows from these two); block b of the stacked
+    # system holds its equations at the keys b * DIM^2 + 8u + v
     n = DIM * DIM
-    rows = []
 
     def var(u, v):
         return u * DIM + v
 
-    def add_zero_combination(coeffs):
-        row = [QR_ZERO] * n
-        for idx, c in coeffs:
-            row[idx] = row[idx] + c
-        rows.append(row)
-
-    # symmetry
-    for u in range(DIM):
-        for v in range(u + 1, DIM):
-            add_zero_combination([(var(u, v), QR_ONE), (var(v, u), -QR_ONE)])
+    swap = [{var(v, u): QR_ONE} for u in range(DIM) for v in range(DIM)]
+    blocks = [lincomb([(QR_ONE, kron(ONE, ONE)), (-QR_ONE, swap)])]
     for i in range(3):
-        # the t_i identity follows from those of e_i and f_i
-        adj_e, adj_f = _adjoints(rep, i)
-        for op, adj in ((rep.E[i], adj_e), (rep.F[i], adj_f)):
-            for u in range(DIM):
-                for v in range(DIM):
-                    # (op u, v) - (u, adj v) = 0
-                    coeffs = ([(var(r, v), c) for r, c in op[u].items()]
-                              + [(var(u, r), -c) for r, c in adj[v].items()])
-                    if coeffs:
-                        add_zero_combination(coeffs)
+        for op, adj in zip((rep.E[i], rep.F[i]), _adjoints(rep, i)):
+            blocks.append(lincomb([(QR_ONE, kron(_transpose(op), ONE)),
+                                   (-QR_ONE, kron(ONE, _transpose(adj)))]))
+    cols = [{b * n + r: c for b, block in enumerate(blocks)
+             for r, c in block[k].items()} for k in range(n)]
     # the kernel of the homogeneous system spans the invariant forms; the
-    # normalization fixes the coordinates of the form in that basis
-    kernel = solve_linear(rows, [QR_ZERO] * len(rows), QR_ZERO, QR_ONE).kernel
-    free_dim = len(kernel)
+    # normalization fixes the coordinates (x_1 .. x_f) of the form in that
+    # basis as the kernel of [K_1 .. K_f | -value] on its nine rows, which
+    # must be one vector with a nonzero last entry
+    forms = kernel(cols, len(blocks) * n)
+    free_dim = len(forms)
     norm = ([(var(0, 0), QR_ONE)] + [(var(u, 7), QR_ZERO) for u in range(DIM - 1)]
             + [(var(7, 7), q_power(1) * q_int(3) / q_int(2))])
-    sol = solve_linear([[vec[k] for vec in kernel] for k, _ in norm],
-                       [value for _, value in norm], QR_ZERO, QR_ONE)
-    if sol.kind != "unique":
+    norm_cols = [{r: form[k] for r, (k, _) in enumerate(norm) if k in form}
+                 for form in forms]
+    norm_cols.append({r: -value for r, (_, value) in enumerate(norm) if value})
+    sol = kernel(norm_cols, len(norm))
+    if len(sol) != 1 or free_dim not in sol[0]:
         raise ArithmeticError(
-            f"polarization not unique: {sol.kind}, free dim {free_dim}")
-    form = [sum((c * vec[k] for c, vec in zip(sol.particular, kernel)), QR_ZERO)
-            for k in range(n)]
-    gram = [{u: form[var(u, v)] for u in range(DIM) if form[var(u, v)]}
+            f"polarization not unique: normalization kernel dim {len(sol)}, "
+            f"free dim {free_dim}")
+    (x,) = sol
+    scale = QR_ONE / x.pop(free_dim)
+    form = sparse_mul(forms, [{i: c * scale for i, c in x.items()}])[0]
+    gram = [{u: form[var(u, v)] for u in range(DIM) if var(u, v) in form}
             for v in range(DIM)]
     return gram, free_dim
 

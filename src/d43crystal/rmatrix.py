@@ -12,8 +12,8 @@ from fractions import Fraction
 from math import lcm
 
 from .exactalg import (
-    Laurent, QR_ZERO, QR_ONE, integer_images, lp2_poly_z, q_power,
-    solve_linear, sparse_mul,
+    Echelon, Laurent, QR_ZERO, QR_ONE, integer_images, lp2_poly_z, q_power,
+    sparse_mul,
 )
 from . import fundrep as fr
 
@@ -21,33 +21,6 @@ N = 64
 
 EXPECTED_DIMS = {"2L1": 27, "L2": 14, "L1_1": 7, "L1_2": 7, "L1_3": 7,
                  "0_1": 1, "0_2": 1}
-
-
-class _Echelon:
-    """Incremental row reduction of sparse QRat columns for membership
-    tests; each reduced row has its pivot at its lowest key."""
-
-    def __init__(self):
-        self.rows = []  # (pivot index, reduced row)
-
-    def add(self, col):
-        """Reduce col; if independent, insert and return True."""
-        col = dict(col)
-        for piv, row in self.rows:
-            c = col.get(piv)
-            if c:
-                for k, v in row.items():
-                    s = col[k] - c * v if k in col else -(c * v)
-                    if s:
-                        col[k] = s
-                    else:
-                        del col[k]
-        if not col:
-            return False
-        piv = min(col)
-        inv = QR_ONE / col[piv]
-        self.rows.append((piv, {k: c * inv for k, c in col.items()}))
-        return True
 
 
 def build_components(rep=None):
@@ -65,7 +38,7 @@ def build_components(rep=None):
 
     def closure_words(label):
         """BFS lowering words that extend the span, starting from []."""
-        ech = _Echelon()
+        ech = Echelon(N)
         start = hw[label]
         ech.add(start)
         words = [()]
@@ -76,7 +49,7 @@ def build_components(rep=None):
             for vec, word in frontier:
                 for i in (1, 2):
                     nv = sparse_mul(lower[i], [vec])[0]
-                    if nv and ech.add(nv):
+                    if nv and ech.add(nv) is None:
                         w = word + (i,)
                         words.append(w)
                         basis_vecs.append(nv)
@@ -107,9 +80,9 @@ def build_components(rep=None):
             raise ArithmeticError(
                 f"component {label} has dimension {len(basis)}, "
                 f"expected {EXPECTED_DIMS[label]}")
-        ech = _Echelon()
+        ech = Echelon(N)
         for col in basis:
-            if not ech.add(col):
+            if ech.add(col) is not None:
                 raise ArithmeticError(f"component {label} basis is dependent")
     return comps
 
@@ -121,8 +94,10 @@ def _frame_cols(comps):
 
 def component_coords(comps):
     """Sparse columns of B^-1: column k holds the coordinates of the
-    standard basis vector k in the component frame.  The frame is solved
-    weight block by weight block."""
+    standard basis vector k in the component frame.  Each weight block is
+    one Gauss-Jordan pass over its frame columns, frame column j tagged
+    with N + j: the stored column with pivot k is then e_k, and its tags
+    are column k of B^-1."""
     blocks = {}
     for k in range(N):
         blocks.setdefault(fr.tensor_weight(k), []).append(k)
@@ -137,13 +112,13 @@ def component_coords(comps):
             raise ArithmeticError(
                 f"weight block {w}: {len(js)} basis vectors for "
                 f"{len(idxs)} coordinates")
-        rows = [[frame[j].get(k, QR_ZERO) for j in js] for k in idxs]
-        for k in idxs:
-            rhs = [QR_ONE if kk == k else QR_ZERO for kk in idxs]
-            sol = solve_linear(rows, rhs, QR_ZERO, QR_ONE)
-            if sol.kind != "unique":
+        ech = Echelon(N)
+        for j in js:
+            col = {k: frame[j][k] for k in idxs if k in frame[j]}
+            if ech.add({**col, N + j: QR_ONE}) is not None:
                 raise ArithmeticError(f"weight block {w} is not a direct sum")
-            inv[k] = {j: c for j, c in zip(js, sol.particular) if c}
+        for k, col in ech.cols.items():
+            inv[k] = {j - N: c for j, c in col.items() if j >= N}
     return inv
 
 
@@ -300,14 +275,18 @@ def _sparse_eq(a_cols, b_cols):
 def verify_intertwiner(R, rep=None):
     """R Delta_{x,y}(g) = Delta_{y,x}(g) R for all nine generators, decided
     over Z by integer_images with k = 2: R is cleared once, Delta(g) and
-    its swap share one denominator, and one w serves all nine."""
+    its swap share one denominator, and one w serves all nine.  The images
+    of each generator are made in turn and compared column by column, so
+    one generator's images and one product column are held at a time."""
     if rep is None:
         rep = fr.build_v1()
     gens = [(kind, i) for kind in ("e", "f", "t") for i in range(3)]
     pairs = [[fr.coproduct(rep, kind, i),
               fr.coproduct(rep, kind, i, swapped=True)] for kind, i in gens]
-    ((r,), *images), _ = integer_images([[R.cols]] + pairs, 2)
-    return {f"{kind}{i}": _sparse_eq(sparse_mul(r, a), sparse_mul(b, r))
+    images, _ = integer_images([[R.cols]] + pairs, 2)
+    (r,) = next(images)
+    return {f"{kind}{i}": all(sparse_mul(r, [ca]) == sparse_mul(b, [cr])
+                              for ca, cr in zip(a, r))
             for (kind, i), (a, b) in zip(gens, images)}
 
 

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from d43crystal.exactalg import (
-    Laurent, P_ZERO, QRat, QR_ONE, QR_ZERO, integer_images, lp2_poly_z, p_add,
-    p_content, p_divexact, p_gcd, p_mul, p_neg, p_primitive, p_trim,
-    q_factorial, q_int, q_power, solve_linear, sparse_mul,
+    Echelon, Laurent, P_ZERO, QRat, QR_ONE, QR_ZERO, integer_images, kernel,
+    lp2_poly_z, p_add, p_content, p_divexact, p_gcd, p_mul, p_neg,
+    p_primitive, p_trim, q_factorial, q_int, q_power, sparse_mul,
 )
+from linear_oracle import solve_linear
 
 small_poly = st.lists(st.integers(-9, 9), min_size=0, max_size=5).map(p_trim)
 nonzero_poly = small_poly.filter(lambda p: bool(p))
@@ -166,7 +167,7 @@ def test_field_axioms(a, b, c):
     assert a * QR_ONE == a
     assert a - a == QR_ZERO
     if a:
-        assert a * a.inv() == QR_ONE
+        assert a * (QR_ONE / a) == QR_ONE
 
 
 @given(qrats(), qrats())
@@ -210,7 +211,8 @@ def test_subst_is_homomorphic(a, qv):
 def test_qint_bar_invariant(m, i):
     # [m]_i is symmetric under q -> 1/q
     v = q_int(m, i)
-    assert v.bar() == v
+    for qv in (Fraction(2), Fraction(3, 2), Fraction(-5, 7)):
+        assert v.subst_q(qv) == v.subst_q(1 / qv)
 
 
 def test_qint_values():
@@ -258,24 +260,100 @@ def test_constant_factor_scales_on_the_same_exponent_tuples():
             == Laurent(2, {(1, -1): 15, (0, 0): -6}))
 
 
-def test_solve_linear_unique():
-    one, zero = QR_ONE, QR_ZERO
-    q = QRat((0, 1))
-    sol = solve_linear([[one, q], [q, one]], [one + q * q, q + q],
-                       zero, one)
-    assert sol.kind == "unique"
-    assert sol.particular == [one, q]
+def test_echelon_solves_a_unique_system():
+    # [[1, q], [q, 1]] x = [1 + q^2, 2q] has the one solution x = [1, q]
+    one, q = QR_ONE, QRat((0, 1))
+    cols = [{0: one, 1: q}, {0: q, 1: one}]
+    rhs = {0: one + q * q, 1: q + q}
+    (x,) = kernel(cols + [{r: -c for r, c in rhs.items()}], 2)
+    assert {j: c / x[2] for j, c in x.items()} == {0: one, 1: q, 2: one}
+    # the tagged pass over [A | I] leaves A^-1 in the tags
+    ech = Echelon(2)
+    assert [ech.add({**col, 2 + j: one}) for j, col in enumerate(cols)] == [
+        None, None]
+    inv = [{j - 2: c for j, c in ech.cols[k].items() if j >= 2}
+           for k in range(2)]
+    assert sparse_mul(inv, [rhs]) == [{0: one, 1: q}]
 
 
-def test_solve_linear_inconsistent_and_kernel():
-    one, zero = QR_ONE, QR_ZERO
-    sol = solve_linear([[one, one], [one, one]], [one, zero], zero, one)
-    assert sol.kind == "inconsistent"
-    sol = solve_linear([[one, one]], [one], zero, one)
-    assert sol.kind == "parametrized" and len(sol.kernel) == 1
-    # particular + kernel vector still solves the system
-    x = [p + k for p, k in zip(sol.particular, sol.kernel[0])]
-    assert x[0] + x[1] == one
+def test_kernel_of_singular_and_inconsistent_systems():
+    one = QR_ONE
+    # [[1, 1], [1, 1]] x = [1, 0] is inconsistent: no kernel vector of
+    # [A | -b] has a nonzero last entry
+    null = kernel([{0: one, 1: one}, {0: one, 1: one}, {0: -one}], 2)
+    assert null == [{0: -one, 1: one}]
+    # [1, 1] x = 1 has a one-dimensional solution set
+    null = kernel([{0: one}, {0: one}, {0: -one}], 1)
+    assert null == [{0: -one, 1: one}, {0: one, 2: one}]
+    # a dependent column leaves its tags, a column without tags nothing
+    ech = Echelon(1)
+    assert ech.add({0: one + one}) is None
+    assert ech.cols == {0: {0: one}}
+    assert ech.add({0: one, 1: one}) == {1: one}
+    assert ech.add({0: -one}) == {}
+
+
+# ---------------------------------------------------------------------------
+# Echelon and kernel against the dense solve_linear oracle
+
+
+@st.composite
+def qrat_matrices(draw, n, m=None):
+    """Sparse QRat columns of an m x n matrix, m <= 4 unless given, with
+    many zero entries and, often, a column that combines the earlier
+    ones."""
+    if m is None:
+        m = draw(st.integers(1, 4))
+    entry = st.one_of(st.just(QR_ZERO), st.just(QR_ZERO), qrats())
+    cols = [{r: c for r in range(m) if (c := draw(entry))} for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        j = draw(st.integers(1, n - 1))
+        cs = draw(st.lists(qrats(), min_size=j, max_size=j))
+        cols[j] = sparse_mul(cols, [{i: c for i, c in enumerate(cs) if c}])[0]
+    return m, cols
+
+
+def _dense_rows(m, cols):
+    return [[col.get(r, QR_ZERO) for col in cols] for r in range(m)]
+
+
+def _fully_reduced(ech):
+    return all(col.get(piv) == QR_ONE and not (set(col) & set(ech.cols) - {piv})
+               and piv < ech.cut for piv, col in ech.cols.items())
+
+
+@given(st.integers(1, 4).flatmap(qrat_matrices))
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_the_dense_oracle(case):
+    m, cols = case
+    null = kernel(cols, m)
+    oracle = solve_linear(_dense_rows(m, cols), [QR_ZERO] * m, QR_ZERO, QR_ONE)
+    assert len(null) == len(oracle.kernel)
+    for vec in null:
+        # each vector is annihilated, and is 1 at its largest index, which
+        # no other vector shares: a basis
+        assert sparse_mul(cols, [vec]) == [{}]
+        assert vec[max(vec)] == QR_ONE
+    assert len({max(vec) for vec in null}) == len(null)
+
+
+@given(st.integers(1, 4).flatmap(lambda n: qrat_matrices(n, n)))
+@settings(max_examples=150, deadline=None)
+def test_block_inverse_matches_the_dense_oracle(case):
+    n, cols = case
+    ech = Echelon(n)
+    rests = [ech.add({**col, n + j: QR_ONE}) for j, col in enumerate(cols)]
+    assert _fully_reduced(ech)
+    rows = _dense_rows(n, cols)
+    sols = [solve_linear(rows, [QR_ONE if r == k else QR_ZERO for r in range(n)],
+                         QR_ZERO, QR_ONE) for k in range(n)]
+    if any(rest is not None for rest in rests):
+        assert any(sol.kind != "unique" for sol in sols)
+        return
+    for k, sol in enumerate(sols):
+        assert sol.kind == "unique"
+        assert ech.cols[k] == {k: QR_ONE} | {
+            n + j: c for j, c in enumerate(sol.particular) if c}
 
 
 @given(shared_factor(), q_shifted(8, 10**6), q_shifted(8, 10**6))

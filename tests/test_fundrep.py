@@ -9,9 +9,10 @@ import pytest
 from d43crystal import fundrep as fr
 from d43crystal.exactalg import (
     Laurent, QR_ONE, QR_ZERO, kron, lincomb, q_factorial, q_int, q_power,
-    solve_linear, sparse_mul,
+    sparse_mul,
 )
 from d43crystal.fundrep import CARTAN, DIM, qi_power
+from linear_oracle import solve_linear
 
 
 @pytest.fixture(scope="module")
@@ -534,7 +535,7 @@ def test_coproduct_is_a_homomorphism(rep, swapped):
     f = [_laurent_cols(fr.coproduct(rep, "f", i, swapped)) for i in range(3)]
     for i in range(3):
         t = fr.coproduct(rep, "t", i, swapped)
-        t_inv = [{k: c.inv() for k, c in col.items()} for col in t]
+        t_inv = [{k: QR_ONE / c for k, c in col.items()} for col in t]
         c = QR_ONE / (qi_power(i, 1) - qi_power(i, -1))
         rhs = _laurent_cols(lincomb([(c, t), (-c, t_inv)]))
         for j in range(3):

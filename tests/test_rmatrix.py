@@ -7,8 +7,9 @@ import pytest
 from d43crystal import rmatrix as rm
 from d43crystal import fundrep as fr
 from d43crystal.exactalg import (
-    QRat, Laurent, QR_ONE, QR_ZERO, integer_images, q_power, solve_linear,
+    QRat, Laurent, QR_ONE, QR_ZERO, integer_images, q_power,
 )
+from linear_oracle import solve_linear
 
 YBE_POINTS = [
     (Fraction(2), Fraction(3), Fraction(5), Fraction(7)),
@@ -293,6 +294,54 @@ def test_build_R_matches_projection_oracle(rep, comps, R):
     want = oracle_build_R(rep, comps)
     assert R.cols == want.cols
     assert sum(map(len, R.cols)) == 342
+
+
+def test_component_coords_match_the_oracle(comps):
+    coords = oracle_component_coords(dense_comps(comps))
+    want = [{} for _ in range(N)]
+    start = 0
+    for label in fr.HW_ORDER:
+        for k, vec in enumerate(coords[label]):
+            want[k].update({start + p: c for p, c in enumerate(vec) if c})
+        start += len(comps[label])
+    assert rm.component_coords(comps) == want
+
+
+def test_component_coords_rejects_a_dependent_block(comps):
+    # the first L1_2 vector replaced by q times the first L1_1 vector, of
+    # the same weight
+    bad = dict(comps)
+    bad["L1_2"] = [{k: c * q_power(1) for k, c in comps["L1_1"][0].items()}
+                   ] + comps["L1_2"][1:]
+    with pytest.raises(ArithmeticError, match="is not a direct sum"):
+        rm.component_coords(bad)
+
+
+def test_component_coords_rejects_a_short_weight_block(comps):
+    bad = {**comps, "0_2": []}
+    with pytest.raises(ArithmeticError, match=(
+            r"weight block \(0, 0, 0\): 9 basis vectors for 10 coordinates")):
+        rm.component_coords(bad)
+
+
+def test_build_components_rejects_a_short_closure(rep):
+    # without f_1 and f_2 nothing lowers v1 (x) v1
+    zero = [{} for _ in range(fr.DIM)]
+    flat = fr.Rep8(rep.E, [rep.F[0], zero, zero], rep.weights)
+    with pytest.raises(ArithmeticError,
+                       match="component 2L1 has dimension 1, expected 27"):
+        rm.build_components(flat)
+
+
+def test_build_components_rejects_a_dependent_basis(rep, monkeypatch):
+    # vphi (x) vphi in place of the L1_2 highest vector: the lowering words
+    # of L1_1 send it to zero
+    hw = fr.highest_vectors()
+    monkeypatch.setattr(fr, "highest_vectors",
+                        lambda: dict(hw, L1_2=hw["0_1"]))
+    with pytest.raises(ArithmeticError,
+                       match="component L1_2 basis is dependent"):
+        rm.build_components(rep)
 
 
 def test_oracle_projections_are_the_frame_projections(comps):
