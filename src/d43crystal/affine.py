@@ -7,6 +7,8 @@ Level contexts:
   FREE        -- any integers with the parity constraint; operators total.
 """
 
+from functools import lru_cache
+
 from . import g2crystal as g2
 from .g2crystal import gsum
 
@@ -23,19 +25,19 @@ class LevelCtx:
         self.level = level
 
     @classmethod
+    @lru_cache(maxsize=None)
     def finite(cls, l):
+        """The level-l context; one shared object per level."""
         return cls(cls.FINITE, l)
 
     def admits(self, b):
-        if (b[2] - b[3]) % 2 != 0:
+        if (b[2] - b[3]) & 1:
             return False
         if self.kind == self.FREE:
             return True
-        if any(v < 0 for v in b):
+        if min(b) < 0:
             return False
-        if self.kind == self.FINITE:
-            return gsum(b) <= self.level
-        return True
+        return self.kind == self.NONNEG or gsum(b) <= self.level
 
     def __repr__(self):
         if self.kind == self.FINITE:
@@ -53,29 +55,26 @@ def zvec(b):
 
 
 def alist(b):
-    z1, z2, z3, z4 = zvec(b)
-    return (
-        0,
-        z1,
-        z1 + z2,
-        z1 + z2 + 3 * z4,
-        z1 + z2 + z3 + 3 * z4,
-        2 * z1 + z2 + z3 + 3 * z4,
-    )
+    """(0, z1, z1 + z2, z1 + z2 + 3 z4, z1 + z2 + z3 + 3 z4,
+    2 z1 + z2 + z3 + 3 z4) at z = zvec(b), read off b in one pass."""
+    x1, x2, x3, x3b, x2b, x1b = b
+    z1 = x1b - x1
+    a2 = z1 + x2b - x3b
+    a3 = a2 + 3 * ((x3b - x3) // 2)
+    a4 = a3 + x3 - x2
+    return (0, z1, a2, a3, a4, a4 + z1)
 
 
 def f_case(b):
     """1-based index i with A_i = max A and A_j < A_i for j < i."""
     a = alist(b)
-    m = max(a)
-    return a.index(m) + 1
+    return a.index(max(a)) + 1
 
 
 def e_case(b):
     """1-based index i with A_i = max A and A_j < A_i for j > i."""
     a = alist(b)
-    m = max(a)
-    return 6 - a[::-1].index(m)
+    return 6 - a[::-1].index(max(a))
 
 
 # raw coordinate updates for the six cases
@@ -110,35 +109,49 @@ def _apply_e_case(b, i):
     return (x1, x2, x3, x3b, x2b, x1b + 1)
 
 
-def f0(b, ctx):
-    nb = _apply_f_case(b, f_case(b))
-    return nb if ctx.admits(nb) else None
+def f0_raw(b):
+    """f_0 before the admissibility test: the update of case f_case(b)."""
+    a = alist(b)
+    return _apply_f_case(b, a.index(max(a)) + 1)
 
 
-def e0(b, ctx):
-    nb = _apply_e_case(b, e_case(b))
-    return nb if ctx.admits(nb) else None
+def e0_raw(b):
+    """e_0 before the admissibility test: the update of case e_case(b)."""
+    a = alist(b)
+    return _apply_e_case(b, 6 - a[::-1].index(max(a)))
 
 
-_RAW = {("e", 1): g2.e1_raw, ("f", 1): g2.f1_raw,
-        ("e", 2): g2.e2_raw, ("f", 2): g2.f2_raw}
+# raw operators by kind, then by color
+_RAW = {"e": (e0_raw, g2.e1_raw, g2.e2_raw),
+        "f": (f0_raw, g2.f1_raw, g2.f2_raw)}
 
 
 def apply_op(kind, i, b, ctx):
     """kind 'e' or 'f', color i in {0,1,2}."""
-    if i == 0:
-        return e0(b, ctx) if kind == "e" else f0(b, ctx)
-    nb = _RAW[kind, i](b)
+    nb = _RAW[kind][i](b)
     return nb if ctx.admits(nb) else None
 
 
-def phi0(b, ctx):
+def f0(b, ctx):
+    return apply_op("f", 0, b, ctx)
+
+
+def e0(b, ctx):
+    return apply_op("e", 0, b, ctx)
+
+
+def _phi0(b, ctx, a):
     base = ctx.level if ctx.kind == LevelCtx.FINITE else 0
-    return base - gsum(b) + max(alist(b))
+    return base - gsum(b) + max(a)
+
+
+def phi0(b, ctx):
+    return _phi0(b, ctx, alist(b))
 
 
 def eps0(b, ctx):
-    return phi0(b, ctx) - alist(b)[5]
+    a = alist(b)
+    return _phi0(b, ctx, a) - a[5]
 
 
 def eps(i, b, ctx):
@@ -181,32 +194,3 @@ def bl_cardinality(l):
 def involution(b):
     """Coordinate reversal b -> (x1b, x2b, x3b, x3, x2, x1)."""
     return tuple(reversed(b))
-
-
-# direct transcription of the inequality systems (F1)-(F6); the max-A
-# dispatch above is the implementation, these are kept as a test oracle.
-
-def f_conditions(b):
-    z1, z2, z3, z4 = zvec(b)
-    t = z1 + z2 + z3 + 3 * z4
-    return [
-        t <= 0 and z1 + z2 + 3 * z4 <= 0 and z1 + z2 <= 0 and z1 <= 0,
-        t <= 0 and z2 + 3 * z4 <= 0 and z2 <= 0 and z1 > 0,
-        z1 + z3 + 3 * z4 <= 0 and z3 + 3 * z4 <= 0 and z4 <= 0 and z2 > 0 and z1 + z2 > 0,
-        z1 + z2 + 3 * z4 > 0 and z2 + 3 * z4 > 0 and z4 > 0 and z3 <= 0 and z1 + z3 <= 0,
-        t > 0 and z3 + 3 * z4 > 0 and z3 > 0 and z1 <= 0,
-        t > 0 and z1 + z3 + 3 * z4 > 0 and z1 + z3 > 0 and z1 > 0,
-    ]
-
-
-def e_conditions(b):
-    z1, z2, z3, z4 = zvec(b)
-    t = z1 + z2 + z3 + 3 * z4
-    return [
-        t < 0 and z1 + z2 + 3 * z4 < 0 and z1 + z2 < 0 and z1 < 0,
-        t < 0 and z2 + 3 * z4 < 0 and z2 < 0 and z1 >= 0,
-        z1 + z3 + 3 * z4 < 0 and z3 + 3 * z4 < 0 and z4 < 0 and z2 >= 0 and z1 + z2 >= 0,
-        z1 + z2 + 3 * z4 >= 0 and z2 + 3 * z4 >= 0 and z4 >= 0 and z3 < 0 and z1 + z3 < 0,
-        t >= 0 and z3 + 3 * z4 >= 0 and z3 >= 0 and z1 < 0,
-        t >= 0 and z1 + z3 + 3 * z4 >= 0 and z1 + z3 >= 0 and z1 >= 0,
-    ]

@@ -173,6 +173,7 @@ def _verify_lemmas(args):
 def _verify_coherent(args):
     emb = ch.verify_all_embeddings(args.level)
     cover = ch.verify_cover(args.box)
+    totality = ch.verify_totality(args.box)
     return {
         "embeddings": emb["status"] == "pass",
         "cover": cover["status"] == "pass",
@@ -180,6 +181,8 @@ def _verify_coherent(args):
         # a failed run reports no count
         "embeddings_checked": emb.get("embeddings", 0),
         "cover_points_checked": cover.get("checked", 0),
+        "totality": totality["status"] == "pass",
+        "totality_checked": totality.get("checked", 0),
     }
 
 

@@ -80,10 +80,12 @@ def build_components(rep=None):
             raise ArithmeticError(
                 f"component {label} has dimension {len(basis)}, "
                 f"expected {EXPECTED_DIMS[label]}")
+    # closure_words keeps only independent vectors; the bases built without
+    # it, by replayed words or as a bare highest vector, need their own check
+    for label in ("L1_2", "L1_3", "0_1", "0_2"):
         ech = Echelon(N)
-        for col in basis:
-            if ech.add(col) is not None:
-                raise ArithmeticError(f"component {label} basis is dependent")
+        if any(ech.add(col) is not None for col in comps[label]):
+            raise ArithmeticError(f"component {label} basis is dependent")
     return comps
 
 

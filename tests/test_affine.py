@@ -1,6 +1,8 @@
 """Affine crystal structure of B_l: the 0-action case dispatch against the
-raw inequality systems, string lengths, the golden level-1 graph, and the
-coordinate-reversal involution."""
+raw inequality systems, string lengths, the golden level-1 graph, the
+coordinate-reversal involution, and apply_op against the earlier dispatch."""
+
+from itertools import product
 
 import pytest
 
@@ -8,13 +10,42 @@ from d43crystal import affine as af
 from d43crystal import g2crystal as g2
 
 
+# direct transcription of the inequality systems (F1)-(F6), a test oracle
+# for the max-A case dispatch of affine.f_case and affine.e_case
+
+def f_conditions(b):
+    z1, z2, z3, z4 = af.zvec(b)
+    t = z1 + z2 + z3 + 3 * z4
+    return [
+        t <= 0 and z1 + z2 + 3 * z4 <= 0 and z1 + z2 <= 0 and z1 <= 0,
+        t <= 0 and z2 + 3 * z4 <= 0 and z2 <= 0 and z1 > 0,
+        z1 + z3 + 3 * z4 <= 0 and z3 + 3 * z4 <= 0 and z4 <= 0 and z2 > 0 and z1 + z2 > 0,
+        z1 + z2 + 3 * z4 > 0 and z2 + 3 * z4 > 0 and z4 > 0 and z3 <= 0 and z1 + z3 <= 0,
+        t > 0 and z3 + 3 * z4 > 0 and z3 > 0 and z1 <= 0,
+        t > 0 and z1 + z3 + 3 * z4 > 0 and z1 + z3 > 0 and z1 > 0,
+    ]
+
+
+def e_conditions(b):
+    z1, z2, z3, z4 = af.zvec(b)
+    t = z1 + z2 + z3 + 3 * z4
+    return [
+        t < 0 and z1 + z2 + 3 * z4 < 0 and z1 + z2 < 0 and z1 < 0,
+        t < 0 and z2 + 3 * z4 < 0 and z2 < 0 and z1 >= 0,
+        z1 + z3 + 3 * z4 < 0 and z3 + 3 * z4 < 0 and z4 < 0 and z2 >= 0 and z1 + z2 >= 0,
+        z1 + z2 + 3 * z4 >= 0 and z2 + 3 * z4 >= 0 and z4 >= 0 and z3 < 0 and z1 + z3 < 0,
+        t >= 0 and z3 + 3 * z4 >= 0 and z3 >= 0 and z1 < 0,
+        t >= 0 and z1 + z3 + 3 * z4 >= 0 and z1 + z3 >= 0 and z1 >= 0,
+    ]
+
+
 @pytest.mark.parametrize("l", range(1, 7))
 def test_case_dispatch_matches_inequality_systems(l):
     for b in af.enumerate_Bl(l):
-        fc = af.f_conditions(b)
+        fc = f_conditions(b)
         assert fc.count(True) == 1
         assert fc.index(True) + 1 == af.f_case(b)
-        ec = af.e_conditions(b)
+        ec = e_conditions(b)
         assert ec.count(True) == 1
         assert ec.index(True) + 1 == af.e_case(b)
 
@@ -152,3 +183,110 @@ def test_enumerate_is_union_of_classical_layers():
     got = set(af.enumerate_Bl(2))
     want = set(g2.enumerate_g2(0)) | set(g2.enumerate_g2(1)) | set(g2.enumerate_g2(2))
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# the earlier operator dispatch, kept as a test-only oracle for apply_op: the
+# case from zvec/alist, the coordinate update of that case, then the
+# generator-based admissibility test
+
+
+def oracle_alist(b):
+    x1, x2, x3, x3b, x2b, x1b = b
+    z1, z2, z3, z4 = (x1b - x1, x2b - x3b, x3 - x2, (x3b - x3) // 2)
+    return (0, z1, z1 + z2, z1 + z2 + 3 * z4, z1 + z2 + z3 + 3 * z4,
+            2 * z1 + z2 + z3 + 3 * z4)
+
+
+def oracle_f_case(b):
+    a = oracle_alist(b)
+    return a.index(max(a)) + 1
+
+
+def oracle_e_case(b):
+    a = oracle_alist(b)
+    return 6 - a[::-1].index(max(a))
+
+
+def oracle_apply_f_case(b, i):
+    x1, x2, x3, x3b, x2b, x1b = b
+    return [(x1 + 1, x2, x3, x3b, x2b, x1b),
+            (x1, x2, x3 + 1, x3b + 1, x2b, x1b - 1),
+            (x1, x2, x3 + 2, x3b, x2b - 1, x1b),
+            (x1, x2 + 1, x3, x3b - 2, x2b, x1b),
+            (x1 + 1, x2, x3 - 1, x3b - 1, x2b, x1b),
+            (x1, x2, x3, x3b, x2b, x1b - 1)][i - 1]
+
+
+def oracle_apply_e_case(b, i):
+    x1, x2, x3, x3b, x2b, x1b = b
+    return [(x1 - 1, x2, x3, x3b, x2b, x1b),
+            (x1, x2, x3 - 1, x3b - 1, x2b, x1b + 1),
+            (x1, x2, x3 - 2, x3b, x2b + 1, x1b),
+            (x1, x2 - 1, x3, x3b + 2, x2b, x1b),
+            (x1 - 1, x2, x3 + 1, x3b + 1, x2b, x1b),
+            (x1, x2, x3, x3b, x2b, x1b + 1)][i - 1]
+
+
+def oracle_admits(ctx, b):
+    if (b[2] - b[3]) % 2 != 0:
+        return False
+    if ctx.kind == af.LevelCtx.FREE:
+        return True
+    if any(v < 0 for v in b):
+        return False
+    if ctx.kind == af.LevelCtx.FINITE:
+        return g2.gsum(b) <= ctx.level
+    return True
+
+
+_ORACLE_RAW = {("e", 1): g2.e1_raw, ("f", 1): g2.f1_raw,
+               ("e", 2): g2.e2_raw, ("f", 2): g2.f2_raw}
+
+
+def oracle_apply_op(kind, i, b, ctx):
+    if i == 0 and kind == "f":
+        nb = oracle_apply_f_case(b, oracle_f_case(b))
+    elif i == 0:
+        nb = oracle_apply_e_case(b, oracle_e_case(b))
+    else:
+        nb = _ORACLE_RAW[kind, i](b)
+    return nb if oracle_admits(ctx, nb) else None
+
+
+def oracle_phi0(b, ctx):
+    base = ctx.level if ctx.kind == af.LevelCtx.FINITE else 0
+    return base - g2.gsum(b) + max(oracle_alist(b))
+
+
+def _assert_matches_oracle(points, ctx):
+    for b in points:
+        assert ctx.admits(b) == oracle_admits(ctx, b), (b, ctx)
+        assert af.alist(b) == oracle_alist(b), b
+        assert af.f_case(b) == oracle_f_case(b), b
+        assert af.e_case(b) == oracle_e_case(b), b
+        for kind in ("e", "f"):
+            for i in range(3):
+                assert af.apply_op(kind, i, b, ctx) == oracle_apply_op(
+                    kind, i, b, ctx), (kind, i, b, ctx)
+        phi0 = oracle_phi0(b, ctx)
+        assert af.phi0(b, ctx) == phi0, (b, ctx)
+        assert af.eps0(b, ctx) == phi0 - oracle_alist(b)[5], (b, ctx)
+
+
+@pytest.mark.parametrize("l", range(0, 7))
+def test_apply_op_matches_the_oracle_on_Bl(l):
+    _assert_matches_oracle(af.enumerate_Bl(l), af.LevelCtx.finite(l))
+
+
+# every tuple of [-2, 2]^6: negative coordinates, both parities, and sums
+# on both sides of the finite bound
+_BOX = list(product(range(-2, 3), repeat=6))
+
+
+@pytest.mark.parametrize("ctx", [af.NONNEG, af.FREE, af.LevelCtx.finite(3)],
+                         ids=repr)
+def test_apply_op_matches_the_oracle_on_a_box(ctx):
+    assert any((b[2] - b[3]) % 2 for b in _BOX)
+    assert any(min(b) < 0 for b in _BOX)
+    _assert_matches_oracle(_BOX, ctx)

@@ -143,7 +143,8 @@ def test_verify_coherent(capsys):
     doc = json.loads(out)
     assert doc["checks"] == {"embeddings": True, "cover": True,
                              "limit_point": True, "embeddings_checked": 3,
-                             "cover_points_checked": 405}
+                             "cover_points_checked": 405, "totality": True,
+                             "totality_checked": 3 * 405}
 
 
 def test_verify_relations(capsys):
@@ -244,3 +245,26 @@ def test_coherent_zero_cover_count_is_a_failure(capsys, monkeypatch):
     doc = json.loads(out)
     assert doc["status"] == "fail"
     assert doc["checks"]["cover_points_checked"] == 0
+
+
+def test_coherent_zero_totality_count_is_a_failure(capsys, monkeypatch):
+    monkeypatch.setattr(cli.ch, "verify_totality",
+                        lambda radius: {"status": "pass", "checked": 0})
+    code, out, _ = run_cli(capsys, "verify", "coherent", "--level", "1",
+                           "--box", "0")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "fail"
+    assert doc["checks"]["totality"] is True
+    assert doc["checks"]["totality_checked"] == 0
+
+
+def test_coherent_failed_totality_is_a_failure(capsys, monkeypatch):
+    monkeypatch.setattr(cli.ch, "verify_totality",
+                        lambda radius: {"status": "fail", "reason": "e.f != id"})
+    code, out, _ = run_cli(capsys, "verify", "coherent", "--level", "1",
+                           "--box", "0")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["checks"]["totality"] is False
+    assert doc["checks"]["totality_checked"] == 0

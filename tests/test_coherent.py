@@ -7,6 +7,7 @@ import pytest
 from d43crystal import affine as af
 from d43crystal import coherent as ch
 from d43crystal import perfectness as pf
+from d43crystal import tensorcat as tc
 
 
 def test_limit_point():
@@ -14,7 +15,10 @@ def test_limit_point():
 
 
 def test_totality_small():
-    assert ch.verify_totality(radius=2)["status"] == "pass"
+    r = ch.verify_totality(radius=2)
+    assert r["status"] == "pass"
+    # parity-admissible points of [-2, 2]^6 times the three colors
+    assert r["checked"] == 3 * 5 ** 4 * (3 ** 2 + 2 ** 2)
 
 
 def test_totality_reports_an_undefined_operator(monkeypatch):
@@ -28,6 +32,42 @@ def test_totality_reports_an_undefined_operator(monkeypatch):
     assert r["status"] == "fail"
     assert r["reason"] == "operator undefined"
     assert r["color"] == 2
+
+
+def _shifted(op, broken, shift=(0, 0, 0, 0, 0, 1)):
+    """apply_op whose defined results are moved by shift wherever
+    broken(kind, i, b, ctx) holds; the shift keeps parity-admissibility."""
+    def patched(kind, i, b, ctx):
+        nb = op(kind, i, b, ctx)
+        if nb is None or not broken(kind, i, b, ctx):
+            return nb
+        return tuple(x + d for x, d in zip(nb, shift))
+    return patched
+
+
+def test_totality_reports_e_after_f(monkeypatch):
+    monkeypatch.setattr(af, "apply_op", _shifted(
+        af.apply_op, lambda kind, i, b, ctx: (kind, i) == ("e", 2)))
+    r = ch.verify_totality(radius=1)
+    assert r["status"] == "fail"
+    assert r["reason"] == "e.f != id"
+    assert r["color"] == 2
+
+
+def test_totality_reports_f_after_e(monkeypatch):
+    # e_1 stays the inverse of f_1 on every f_1-image of the box, so e.f
+    # holds everywhere; off those images it is wrong, and f.e breaks there
+    op = af.apply_op
+    box = list(ch._box(1))
+    images = {op("f", 1, nu, af.FREE) for nu in box}
+    assert set(box) - images
+    monkeypatch.setattr(af, "apply_op", _shifted(
+        op, lambda kind, i, b, ctx: (kind, i) == ("e", 1) and b not in images))
+    r = ch.verify_totality(radius=1)
+    assert r["status"] == "fail"
+    assert r["reason"] == "f.e != id"
+    assert r["color"] == 1
+    assert r["element"] not in images
 
 
 def test_operators_move_off_the_origin():
@@ -54,6 +94,32 @@ def test_embedding_detects_shifted_eps(monkeypatch):
     r = ch.verify_embedding(2, (0, 0, 0, 0, 0, 0))
     assert r["status"] == "fail"
     assert r["reason"] == "eps"
+
+
+@pytest.mark.parametrize("kind", ["e", "f"])
+def test_embedding_detects_a_broken_free_operator(monkeypatch, kind):
+    monkeypatch.setattr(af, "apply_op", _shifted(
+        af.apply_op,
+        lambda k, i, b, ctx: (k, i) == (kind, 1) and ctx is af.FREE))
+    r = ch.verify_embedding(3, (1, 0, 0, 0, 0, 1))
+    assert r["status"] == "fail"
+    assert (r["reason"], r["color"]) == (kind, 1)
+
+
+def test_embedding_reads_the_level_table(monkeypatch):
+    # one wrong f_2 target in the cached B_l table must fail the check,
+    # so the table is what the embedding is compared against
+    table = tc.level_crystal(2)
+    f2 = list(table.f[2])
+    a = next(a for a, t in enumerate(f2) if t >= 0)
+    f2[a] = (f2[a] + 1) % len(f2)
+    wrong = table._replace(f=(table.f[0], table.f[1], tuple(f2)))
+    monkeypatch.setattr(tc, "level_crystal", lambda l: wrong)
+    for b0 in pf.minimal_elements(2):
+        r = ch.verify_embedding(2, b0)
+        assert r["status"] == "fail"
+        assert r["element"] == table.elements[a]
+        assert (r["reason"], r["color"]) == ("f", 2)
 
 
 def test_embedding_rejects_non_minimal():
