@@ -111,14 +111,12 @@ def _apply_e_case(b, i):
 
 def f0_raw(b):
     """f_0 before the admissibility test: the update of case f_case(b)."""
-    a = alist(b)
-    return _apply_f_case(b, a.index(max(a)) + 1)
+    return _apply_f_case(b, f_case(b))
 
 
 def e0_raw(b):
     """e_0 before the admissibility test: the update of case e_case(b)."""
-    a = alist(b)
-    return _apply_e_case(b, 6 - a[::-1].index(max(a)))
+    return _apply_e_case(b, e_case(b))
 
 
 # raw operators by kind, then by color
@@ -130,14 +128,6 @@ def apply_op(kind, i, b, ctx):
     """kind 'e' or 'f', color i in {0,1,2}."""
     nb = _RAW[kind][i](b)
     return nb if ctx.admits(nb) else None
-
-
-def f0(b, ctx):
-    return apply_op("f", 0, b, ctx)
-
-
-def e0(b, ctx):
-    return apply_op("e", 0, b, ctx)
 
 
 def _phi0(b, ctx, a):

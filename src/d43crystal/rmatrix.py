@@ -40,7 +40,8 @@ def build_components(rep=None):
         """BFS lowering words that extend the span, starting from []."""
         ech = Echelon(N)
         start = hw[label]
-        ech.add(start)
+        if ech.add(start) is not None:
+            raise ArithmeticError(f"component {label} basis is dependent")
         words = [()]
         basis_vecs = [start]
         frontier = [(start, ())]
@@ -58,11 +59,15 @@ def build_components(rep=None):
         return words, basis_vecs
 
     def apply_words(label, words):
+        """The vectors w(hw[label]), which must be independent."""
+        ech = Echelon(N)
         out = []
         for w in words:
             vec = hw[label]
             for i in w:
                 vec = sparse_mul(lower[i], [vec])[0]
+            if ech.add(vec) is not None:
+                raise ArithmeticError(f"component {label} basis is dependent")
             out.append(vec)
         return out
 
@@ -72,20 +77,14 @@ def build_components(rep=None):
     words_l1, comps["L1_1"] = closure_words("L1_1")
     comps["L1_2"] = apply_words("L1_2", words_l1)
     comps["L1_3"] = apply_words("L1_3", words_l1)
-    comps["0_1"] = [hw["0_1"]]
-    comps["0_2"] = [hw["0_2"]]
+    comps["0_1"] = apply_words("0_1", [()])
+    comps["0_2"] = apply_words("0_2", [()])
 
     for label, basis in comps.items():
         if len(basis) != EXPECTED_DIMS[label]:
             raise ArithmeticError(
                 f"component {label} has dimension {len(basis)}, "
                 f"expected {EXPECTED_DIMS[label]}")
-    # closure_words keeps only independent vectors; the bases built without
-    # it, by replayed words or as a bare highest vector, need their own check
-    for label in ("L1_2", "L1_3", "0_1", "0_2"):
-        ech = Echelon(N)
-        if any(ech.add(col) is not None for col in comps[label]):
-            raise ArithmeticError(f"component {label} basis is dependent")
     return comps
 
 

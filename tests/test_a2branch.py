@@ -90,7 +90,7 @@ def test_bbar_is_zero_one_highest(l):
     for (i, j0, j1) in a2.component_indices(l):
         b = a2.bbar(l, i, j0, j1)
         assert ctx.admits(b)
-        assert af.e0(b, ctx) is None
+        assert af.apply_op("e", 0, b, ctx) is None
         assert af.apply_op("e", 1, b, ctx) is None
         assert af.eps0(b, ctx) == 0 and af.eps(1, b, ctx) == 0
         assert af.phi0(b, ctx) == j0 and af.phi(1, b, ctx) == j1

@@ -63,14 +63,14 @@ def test_zero_string_lengths(l):
     for b in af.enumerate_Bl(l):
         k, cur = 0, b
         while True:
-            cur = af.e0(cur, ctx)
+            cur = af.apply_op("e", 0, cur, ctx)
             if cur is None:
                 break
             k += 1
         assert k == af.eps0(b, ctx)
         k, cur = 0, b
         while True:
-            cur = af.f0(cur, ctx)
+            cur = af.apply_op("f", 0, cur, ctx)
             if cur is None:
                 break
             k += 1
@@ -155,7 +155,7 @@ def test_absence_only_at_the_boundary(l):
     ctx = af.LevelCtx.finite(l)
     for b in af.enumerate_Bl(l):
         nb = af._apply_f_case(b, af.f_case(b))
-        died = af.f0(b, ctx) is None
+        died = af.apply_op("f", 0, b, ctx) is None
         assert died == (not ctx.admits(nb))
 
 
@@ -163,7 +163,7 @@ def test_nonneg_context_is_sum_unbounded():
     b = (5, 0, 0, 0, 0, 0)
     assert af.NONNEG.admits(b)
     assert not af.LevelCtx.finite(3).admits(b)
-    assert af.f0(b, af.NONNEG) is not None
+    assert af.apply_op("f", 0, b, af.NONNEG) is not None
 
 
 def test_operators_preserve_classical_level_within_Bl():
@@ -174,7 +174,7 @@ def test_operators_preserve_classical_level_within_Bl():
             nb = af.apply_op("f", i, b, ctx)
             if nb is not None:
                 assert g2.gsum(nb) == s
-        nb = af.f0(b, ctx)
+        nb = af.apply_op("f", 0, b, ctx)
         if nb is not None:
             assert abs(g2.gsum(nb) - s) <= 1
 

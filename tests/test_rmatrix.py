@@ -344,6 +344,17 @@ def test_build_components_rejects_a_dependent_basis(rep, monkeypatch):
         rm.build_components(rep)
 
 
+@pytest.mark.parametrize("label", ["2L1", "0_2"])
+def test_build_components_rejects_a_zero_highest_vector(rep, monkeypatch,
+                                                        label):
+    # closure_words builds the 2L1 basis, apply_words the 0_2 one
+    hw = fr.highest_vectors()
+    monkeypatch.setattr(fr, "highest_vectors", lambda: {**hw, label: {}})
+    with pytest.raises(ArithmeticError,
+                       match=f"component {label} basis is dependent"):
+        rm.build_components(rep)
+
+
 def test_oracle_projections_are_the_frame_projections(comps):
     want = oracle_build_projections(dense_comps(comps))
     for label, got in frame_projections(comps).items():
