@@ -122,26 +122,28 @@ def bbar(l, i, j0, j1):
     return (0, y0, y0 + i, 2 * y1 - y0 + i, -y1 + 2 * y0 + j0, 0)
 
 
-def apply_word(b, word, ctx):
-    """Apply operators right-to-left; word items are ('e'|'f', color, count)."""
-    for kind, color, count in reversed(word):
+def nonneg_f(color, b):
+    """f_color on the unbounded nonnegative crystal; None where undefined."""
+    return af.apply_op("f", color, b, af.NONNEG)
+
+
+def table_f(table):
+    """f_color on the indices of a LevelTable; None where undefined."""
+    def step(color, a):
+        a = table.f[color][a]
+        return a if a >= 0 else None
+    return step
+
+
+def lower_pqr(x, p, q, r, step=nonneg_f):
+    """f0^r f1^q f0^p applied to x by step(color, x), or None once a step
+    is undefined."""
+    for color, count in ((0, p), (1, q), (0, r)):
         for _ in range(count):
-            if b is None:
+            x = step(color, x)
+            if x is None:
                 return None
-            b = af.apply_op(kind, color, b, ctx)
-    return b
-
-
-def lower_pqr(b, p, q, r, ctx):
-    """f0^r f1^q f0^p applied to b."""
-    return apply_word(b, [("f", 0, r), ("f", 1, q), ("f", 0, p)], ctx)
-
-
-def tab_to_element(l, i, j0, j1, t, ctx=None):
-    """Image of A2Tab t under the component map into B_l."""
-    if ctx is None:
-        ctx = af.LevelCtx.finite(l)
-    return lower_pqr(bbar(l, i, j0, j1), t.p, t.q, t.r, ctx)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +156,14 @@ class DecompositionError(AssertionError):
 
 def decompose(l):
     """Match the {0,1}-components of B_l with the index set, verifying that
-    each component is isomorphic to the corresponding A2 crystal.
+    each component is isomorphic to the corresponding A2 crystal.  B_l is
+    read from its cached LevelTable only.
 
     Returns a list of dicts {i, j0, j1, size, highest} sorted by index.
     """
-    ctx = af.LevelCtx.finite(l)
-    comps = tc.connected_components(tc.level_crystal(l), colors=(0, 1))
+    table = tc.level_crystal(l)
+    eps0, eps1 = table.eps[0], table.eps[1]
+    comps = tc.connected_components(table, colors=(0, 1))
     expected = component_indices(l)
     by_highest = {}
     for (i, j0, j1) in expected:
@@ -169,15 +173,13 @@ def decompose(l):
     result = []
     used = Counter()
     for comp in comps:
-        highest = [
-            b for b in comp
-            if af.eps0(b, ctx) == 0 and af.eps(1, b, ctx) == 0
-        ]
+        members = [table.index[b] for b in comp]
+        highest = [a for a in members if eps0[a] == 0 and eps1[a] == 0]
         if len(highest) != 1:
             raise DecompositionError(
                 f"component of size {len(comp)} has {len(highest)} {{0,1}}-highest elements"
             )
-        h = highest[0]
+        h = table.elements[highest[0]]
         cands = by_highest.get(h)
         if not cands:
             raise DecompositionError(f"no index triple for highest element {h}")
@@ -191,11 +193,11 @@ def decompose(l):
                 f"component ({l},{i},{j0},{j1}) has size {len(comp)}, "
                 f"expected {a2_dim(j0, j1)}"
             )
-        image = _component_image(l, i, j0, j1, ctx)
-        if not set(image.values()) <= set(comp):
+        image = _component_image(table, l, i, j0, j1)
+        if not set(image.values()) <= set(members):
             raise DecompositionError(
                 f"({l},{i},{j0},{j1}): image not in the component")
-        _check_transfer(l, i, j0, j1, image, ctx)
+        _check_transfer(table, l, i, j0, j1, image)
         result.append({"i": i, "j0": j0, "j1": j1, "size": len(comp), "highest": h})
 
     if sum(used.values()) != len(expected):
@@ -204,40 +206,42 @@ def decompose(l):
     return result
 
 
-def _component_image(l, i, j0, j1, ctx):
-    """The map t(p,q,r) -> f0^r f1^q f0^p bbar(l,i,j0,j1) on the A2 crystal
-    B(j0,j1); every image must be defined and the map injective."""
+def _component_image(table, l, i, j0, j1):
+    """The map t(p,q,r) -> f0^r f1^q f0^p bbar(l,i,j0,j1) from the A2 crystal
+    B(j0,j1) to the indices of the B_l table; every image must be defined
+    and the map injective."""
+    start, step = table.index[bbar(l, i, j0, j1)], table_f(table)
     image = {}
     seen = set()
     for t in a2_elements(j0, j1):
-        b = tab_to_element(l, i, j0, j1, t, ctx)
-        if b is None:
+        a = lower_pqr(start, t.p, t.q, t.r, step)
+        if a is None:
             raise DecompositionError(f"({l},{i},{j0},{j1}): image of {t} undefined")
-        if b in seen:
+        if a in seen:
             raise DecompositionError(f"({l},{i},{j0},{j1}): map not injective at {t}")
-        seen.add(b)
-        image[t] = b
+        seen.add(a)
+        image[t] = a
     return image
 
 
-def _check_transfer(l, i, j0, j1, image, ctx):
+def _check_transfer(table, l, i, j0, j1, image):
     """eps0, eps1, phi0, phi1 and the e0, f0, e1, f1 arrows of B(j0,j1)
-    transfer along image to those of B_l, so image is a {0,1}-crystal
-    isomorphism onto its range."""
-    ops = {("e", 0): a2_e0, ("f", 0): a2_f0, ("e", 1): a2_e1, ("f", 1): a2_f1}
-    for t, b in image.items():
+    transfer along image to those of the B_l table (-1 where an arrow is
+    undefined), so image is a {0,1}-crystal isomorphism onto its range."""
+    eps, phi = table.eps, table.phi
+    arrows = (("e0", table.e[0], a2_e0), ("f0", table.f[0], a2_f0),
+              ("e1", table.e[1], a2_e1), ("f1", table.f[1], a2_f1))
+    for t, a in image.items():
         e0v, e1v, p0v, p1v = a2_eps_phi(t)
-        if (af.eps0(b, ctx), af.eps(1, b, ctx)) != (e0v, e1v):
+        if (eps[0][a], eps[1][a]) != (e0v, e1v):
             raise DecompositionError(f"({l},{i},{j0},{j1}): eps mismatch at {t}")
-        if (af.phi0(b, ctx), af.phi(1, b, ctx)) != (p0v, p1v):
+        if (phi[0][a], phi[1][a]) != (p0v, p1v):
             raise DecompositionError(f"({l},{i},{j0},{j1}): phi mismatch at {t}")
-        for (kind, color), op in ops.items():
+        for name, targets, op in arrows:
             tt = op(t)
-            bb = af.apply_op(kind, color, b, ctx)
-            expected = None if tt is None else image[tt]
-            if bb != expected:
+            if targets[a] != (-1 if tt is None else image[tt]):
                 raise DecompositionError(
-                    f"({l},{i},{j0},{j1}): {kind}{color} arrow mismatch at {t}"
+                    f"({l},{i},{j0},{j1}): {name} arrow mismatch at {t}"
                 )
 
 
@@ -456,7 +460,7 @@ def verify_lemmas(l_max):
 
 
 def _oracle(l, i, j0, j1, p, q, r):
-    return lower_pqr(bbar(l, i, j0, j1), p, q, r, af.NONNEG)
+    return lower_pqr(bbar(l, i, j0, j1), p, q, r)
 
 
 def verify_appendix(l_max, tables="ABCD"):
@@ -524,11 +528,8 @@ def verify_onion(l_max):
                 continue
             for p in range(j0):
                 for q in range(p + 1, j1 + p + 1):
-                    lhs = apply_word(
-                        bbar(l, i, j0, j1),
-                        [("f", 0, 1), ("f", 1, q), ("f", 0, p)], af.NONNEG)
-                    rhs = lower_pqr(bbar(l - 1, i, j0 - 1, j1 - 1), p, q - 1, 0,
-                                    af.NONNEG)
+                    lhs = lower_pqr(bbar(l, i, j0, j1), p, q, 1)
+                    rhs = lower_pqr(bbar(l - 1, i, j0 - 1, j1 - 1), p, q - 1, 0)
                     if lhs != rhs:
                         raise AssertionError(
                             f"onion fails at l={l} i={i} j0={j0} j1={j1} p={p} q={q}"
@@ -547,9 +548,8 @@ def verify_comm(l_max):
             for p in range(j0):
                 for q in range(p + 1):
                     base = bbar(l, i, j0, j1)
-                    lhs = apply_word(base, [("f", 0, 1), ("f", 1, q), ("f", 0, p)],
-                                     af.NONNEG)
-                    rhs = lower_pqr(base, p + 1, q, 0, af.NONNEG)
+                    lhs = lower_pqr(base, p, q, 1)
+                    rhs = lower_pqr(base, p + 1, q, 0)
                     if lhs != rhs:
                         raise AssertionError(
                             f"comm fails at l={l} i={i} j0={j0} j1={j1} p={p} q={q}"
@@ -560,18 +560,21 @@ def verify_comm(l_max):
 
 def verify_invol2(l_max):
     """(f0^r f1^q f0^p bbar(j0,j1))^v = f0^r' f1^q' f0^p' bbar(j1,j0)
-    in B_l, for j0 <= j1 and all (p,q,r) satisfying (C)."""
+    in B_l, for j0 <= j1 and all (p,q,r) satisfying (C), walked on the
+    B_l table."""
     checked = 0
     for l in range(1, l_max + 1):
-        ctx = af.LevelCtx.finite(l)
+        table = tc.level_crystal(l)
+        el, step = table.elements, table_f(table)
         for (i, j0, j1) in component_indices(l):
             if j0 > j1:
                 continue
+            start = table.index[bbar(l, i, j0, j1)]
+            swapped = table.index[bbar(l, i, j1, j0)]
             for t in a2_elements(j0, j1):
-                lhs = tab_to_element(l, i, j0, j1, t, ctx)
-                pp, qq, rr = a2_raise(t)
-                rhs = lower_pqr(bbar(l, i, j1, j0), pp, qq, rr, ctx)
-                if lhs is None or rhs is None or af.involution(lhs) != rhs:
+                lhs = lower_pqr(start, t.p, t.q, t.r, step)
+                rhs = lower_pqr(swapped, *a2_raise(t), step)
+                if lhs is None or rhs is None or af.involution(el[lhs]) != el[rhs]:
                     raise AssertionError(
                         f"invol2 fails at l={l} i={i} j0={j0} j1={j1} {t}"
                     )
@@ -584,15 +587,9 @@ def verify_step2_relations(l_max):
     j0 <= j1 the map from B(j1,j0) onto the component (l,i,j1,j0) is defined
     everywhere and injective, and its eps/phi and four arrows transfer.
     (i') is definedness, (ii') and (iii') are the e0 and e1 arrows, (iv')
-    and (v') are ends of the f0 and f1 strings.  Returns the number of
-    elements checked."""
-    checked = 0
-    for l in range(1, l_max + 1):
-        ctx = af.LevelCtx.finite(l)
-        for (i, j0, j1) in component_indices(l):
-            if j0 > j1:
-                continue
-            image = _component_image(l, i, j1, j0, ctx)
-            _check_transfer(l, i, j1, j0, image, ctx)
-            checked += len(image)
-    return checked
+    and (v') are ends of the f0 and f1 strings.  decompose(l) runs exactly
+    this check on every component and raises DecompositionError where it
+    fails, so the count is the size of its rows with j0 >= j1.  Returns the
+    number of elements checked."""
+    return sum(row["size"] for l in range(1, l_max + 1)
+               for row in decompose(l) if row["j0"] >= row["j1"])

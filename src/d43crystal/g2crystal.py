@@ -2,8 +2,9 @@
 
 An element is a tuple (x1, x2, x3, x3b, x2b, x1b) of nonnegative integers
 with x3 = x3b mod 2; the level-j piece additionally satisfies
-x1 + x2 + (x3 + x3b)/2 + x2b + x1b = j.  Operators return None when the
-result leaves the crystal ("absent"); the killed value is never encoded
+x1 + x2 + (x3 + x3b)/2 + x2b + x1b = j.  The operators here are raw case
+updates; affine.apply_op is the one guarded path, returning None when the
+result leaves the crystal ("absent"), so the killed value is never encoded
 as an element.
 """
 
@@ -18,10 +19,6 @@ def valid_coords(b):
 def gsum(b):
     """x1 + x2 + (x3+x3b)/2 + x2b + x1b (the tableau length)."""
     return b[0] + b[1] + (b[2] + b[3]) // 2 + b[4] + b[5]
-
-
-def _guard(b):
-    return None if any(v < 0 for v in b) else b
 
 
 def e1_raw(b):
@@ -56,22 +53,6 @@ def f2_raw(b):
     if x3b <= x3:
         return (x1, x2 - 1, x3 + 2, x3b, x2b, x1b)
     return (x1, x2, x3, x3b - 2, x2b + 1, x1b)
-
-
-def e1(b):
-    return _guard(e1_raw(b))
-
-
-def f1(b):
-    return _guard(f1_raw(b))
-
-
-def e2(b):
-    return _guard(e2_raw(b))
-
-
-def f2(b):
-    return _guard(f2_raw(b))
 
 
 def eps1(b):

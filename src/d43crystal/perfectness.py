@@ -47,7 +47,7 @@ def check_P1(l):
     {1,2}-highest pair.  Sound once the table passes the crystal axioms,
     given that f_i lowers the weight of B_l by alpha_i: e_1/e_2 steps then
     take every pair of the finite B_l (x) B_l to one that no f_1/f_2 arrow
-    enters.  tc.highest_pairs holds all such pairs, and tc.connect_to_vacuum
+    enters.  tc.highest_pairs holds all such pairs, and tc.vacuum_walk
     joins each to phi (x) phi along f-arrows."""
     table = tc.level_crystal(l)
     broken = tc.axiom_failure(table)
@@ -57,13 +57,12 @@ def check_P1(l):
                 "color": color, "element": element}
     el, highest = table.elements, tc.highest_pairs(table)
     steps = 0
-    for a, b in highest:
-        pair = (el[a], el[b])
+    for pair in highest:
         try:
-            steps += len(tc.connect_to_vacuum(l, pair))
+            steps += len(tc.vacuum_walk(table, l, pair))
         except RuntimeError as exc:
-            return {"status": "fail", "reason": "vacuum walk", "pair": pair,
-                    "error": str(exc)}
+            return {"status": "fail", "reason": "vacuum walk",
+                    "pair": (el[pair[0]], el[pair[1]]), "error": str(exc)}
     return {"status": "pass", "vertices": len(el) ** 2,
             "method": "highest-pair walks", "highest_pairs": len(highest),
             "walk_steps": steps}

@@ -124,11 +124,10 @@ def connected_components(table, colors=COLORS):
 # the deterministic walk to phi (x) phi in B_l (x) B_l
 
 
-def connect_to_vacuum(l, pair):
-    """Return the list of (color, pair) lowering steps taking pair to
-    (phi, phi) in B_l (x) B_l.  Raises if the walk fails to terminate
-    within 200 (l+1)^2 steps."""
-    table = level_crystal(l)
+def vacuum_walk(table, l, cur):
+    """Return the list of (color, index pair) lowering steps taking the
+    index pair cur of the B_l table to (phi, phi) in B_l (x) B_l.  Raises
+    RuntimeError if the walk fails to terminate within 200 (l+1)^2 steps."""
     el = table.elements
     steps = []
 
@@ -138,7 +137,7 @@ def connect_to_vacuum(l, pair):
     def lower(i, cur):
         cur = tensor_f(table, i, *cur)
         if cur is not None:
-            steps.append((i, pairs(cur)))
+            steps.append((i, cur))
         return cur
 
     def saturate(cur):
@@ -148,7 +147,7 @@ def connect_to_vacuum(l, pair):
             nxt = lower(1, cur) or lower(2, cur)
         return cur
 
-    cur = saturate((table.index[pair[0]], table.index[pair[1]]))
+    cur = saturate(cur)
     # now the right factor is a string of barred ones
     right = el[cur[1]]
     m = right[5]
@@ -175,6 +174,15 @@ def connect_to_vacuum(l, pair):
     if len(steps) > 200 * (l + 1) ** 2:
         raise RuntimeError("walk exceeded the step budget")
     return steps
+
+
+def connect_to_vacuum(l, pair):
+    """vacuum_walk from the element pair pair, with its steps as (color,
+    element pair)."""
+    table = level_crystal(l)
+    el, index = table.elements, table.index
+    return [(i, (el[a], el[b])) for i, (a, b) in
+            vacuum_walk(table, l, (index[pair[0]], index[pair[1]]))]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from d43crystal import a2branch as a2
 from d43crystal import affine as af
+from d43crystal import tensorcat as tc
 
 
 @pytest.mark.parametrize("j0,j1", [(j0, j1) for j0 in range(9) for j1 in range(9)])
@@ -119,11 +120,11 @@ def test_decompose_level_3_total():
 def test_appendix_formula_dispatch():
     assert a2.appendix_formula("A", 3, 0, 3, 3, p=0, q=0) == (0, 0, 0, 0, 3, 0)
     # table C at q = r = 0 equals f0^{j0} applied to the base point
-    want = a2.lower_pqr(a2.bbar(3, 0, 3, 3), 3, 0, 0, af.NONNEG)
+    want = a2.lower_pqr(a2.bbar(3, 0, 3, 3), 3, 0, 0)
     assert a2.appendix_formula("C", 3, 0, 3, 3, q=0, r=0) == want
     # table D boundary r = j0 + q - 2p = 0 against iterated lowering
     got = a2.appendix_formula("D", 2, 1, 1, 1, p=1, q=1)
-    want = a2.lower_pqr(a2.bbar(2, 1, 1, 1), 1, 1, 0, af.NONNEG)
+    want = a2.lower_pqr(a2.bbar(2, 1, 1, 1), 1, 1, 0)
     assert got == want
     with pytest.raises(ValueError):
         a2.appendix_formula("A", 3, 0, 3, 3, p=9, q=0)
@@ -159,16 +160,15 @@ def test_lemmas_small():
 
 
 def test_onion_example():
-    lhs = a2.apply_word(a2.bbar(3, 0, 3, 3),
-                        [("f", 0, 1), ("f", 1, 1), ("f", 0, 0)], af.NONNEG)
-    rhs = a2.lower_pqr(a2.bbar(2, 0, 2, 2), 0, 0, 0, af.NONNEG)
+    lhs = a2.lower_pqr(a2.bbar(3, 0, 3, 3), 0, 1, 1)
+    rhs = a2.lower_pqr(a2.bbar(2, 0, 2, 2), 0, 0, 0)
     assert lhs == rhs
 
 
 def test_comm_example():
     base = a2.bbar(4, 0, 4, 4)
-    lhs = a2.apply_word(base, [("f", 0, 1), ("f", 1, 0), ("f", 0, 1)], af.NONNEG)
-    rhs = a2.lower_pqr(base, 2, 0, 0, af.NONNEG)
+    lhs = a2.lower_pqr(base, 1, 0, 1)
+    rhs = a2.lower_pqr(base, 2, 0, 0)
     assert lhs == rhs
 
 
@@ -184,5 +184,67 @@ def test_broken_e1_arrow_fails_step2(monkeypatch):
 
     assert a2.verify_step2_relations(3) == 145
     monkeypatch.setattr(af, "apply_op", broken)
-    with pytest.raises(AssertionError, match="e1 arrow mismatch"):
-        a2.verify_step2_relations(3)
+    # step2 reads the cached B_l table: rebuild it with the broken operator,
+    # then drop it so that no later test sees it
+    tc.level_crystal.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="e1 arrow mismatch"):
+            a2.verify_step2_relations(3)
+    finally:
+        tc.level_crystal.cache_clear()
+
+
+@pytest.mark.parametrize("l,want", [(1, 8), (2, 43), (3, 145), (4, 404),
+                                    (5, 960), (6, 2073)])
+def test_step2_counts_every_swapped_component(l, want):
+    # from the index set alone: B(j1, j0) for each component with j0 <= j1
+    count = sum(a2.a2_dim(j1, j0) for level in range(1, l + 1)
+                for (_, j0, j1) in a2.component_indices(level) if j0 <= j1)
+    assert a2.verify_step2_relations(l) == count == want
+
+
+def _retarget(table, kind, color, a, target):
+    """The table with the kind/color arrow at index a pointing at target."""
+    col = list(getattr(table, kind)[color])
+    col[a] = target
+    cols = list(getattr(table, kind))
+    cols[color] = tuple(col)
+    return table._replace(**{kind: tuple(cols)})
+
+
+def _f0_past_string_end(table):
+    # an f0 arrow out of the end of a 0-string, back to its predecessor:
+    # the components and the image walks stay as they were
+    f0, e0 = table.f[0], table.e[0]
+    a = next(a for a in range(len(f0)) if f0[a] < 0 and e0[a] >= 0)
+    return _retarget(table, "f", 0, a, e0[a])
+
+
+def _e1_two_steps(table):
+    e1 = table.e[1]
+    a = next(a for a in range(len(e1)) if e1[a] >= 0 and e1[e1[a]] >= 0)
+    return _retarget(table, "e", 1, a, e1[e1[a]])
+
+
+@pytest.mark.parametrize("wrong,name", [(_f0_past_string_end, "f0"),
+                                        (_e1_two_steps, "e1")])
+def test_decompose_reads_the_level_table(monkeypatch, wrong, name):
+    # one wrong arrow in the cached B_l table must fail the decomposition,
+    # so the table is what the A2 crystals are compared against
+    l = 3
+    bad = wrong(tc.level_crystal(l))
+    monkeypatch.setattr(tc, "level_crystal", lambda level: bad)
+    with pytest.raises(a2.DecompositionError, match=f"{name} arrow mismatch"):
+        a2.decompose(l)
+
+
+def test_invol2_walks_the_level_table(monkeypatch):
+    # f1 out of bbar(2, 0, 2, 2) takes two steps at once
+    l = 2
+    table = tc.level_crystal(l)
+    a = table.index[a2.bbar(l, 0, 2, 2)]
+    bad = _retarget(table, "f", 1, a, table.f[1][table.f[1][a]])
+    assert a2.verify_invol2(l) == 43
+    monkeypatch.setattr(tc, "level_crystal", lambda level: bad)
+    with pytest.raises(AssertionError, match="invol2 fails"):
+        a2.verify_invol2(l)

@@ -2,7 +2,13 @@
 
 import pytest
 
+from d43crystal import affine as af
 from d43crystal import g2crystal as g2
+
+
+def op(kind, i):
+    """The guarded operator on the nonnegative crystal."""
+    return lambda b: af.apply_op(kind, i, b, af.NONNEG)
 
 
 @pytest.mark.parametrize("j", range(6))
@@ -26,7 +32,7 @@ def test_dimension_values():
 @pytest.mark.parametrize("j", range(5))
 def test_inverse_property(j):
     for b in g2.enumerate_g2(j):
-        for f, e in ((g2.f1, g2.e1), (g2.f2, g2.e2)):
+        for f, e in ((op("f", 1), op("e", 1)), (op("f", 2), op("e", 2))):
             nb = f(b)
             if nb is not None:
                 assert e(nb) == b
@@ -39,8 +45,8 @@ def test_inverse_property(j):
 def test_eps_phi_are_string_lengths(j):
     for b in g2.enumerate_g2(j):
         for e, f, eps, phi in (
-            (g2.e1, g2.f1, g2.eps1, g2.phi1),
-            (g2.e2, g2.f2, g2.eps2, g2.phi2),
+            (op("e", 1), op("f", 1), g2.eps1, g2.phi1),
+            (op("e", 2), op("f", 2), g2.eps2, g2.phi2),
         ):
             k, cur = 0, b
             while True:
@@ -59,10 +65,12 @@ def test_eps_phi_are_string_lengths(j):
 
 
 def test_operators_preserve_level():
+    # the raw results, so that a raw operator breaking the parity of
+    # x3 - x3b fails here instead of being dropped by the admissibility test
     for b in g2.enumerate_g2(3):
-        for op in (g2.e1, g2.f1, g2.e2, g2.f2):
-            nb = op(b)
-            if nb is not None:
+        for raw in (g2.e1_raw, g2.f1_raw, g2.e2_raw, g2.f2_raw):
+            nb = raw(b)
+            if min(nb) >= 0:
                 assert g2.gsum(nb) == 3
                 assert (nb[2] - nb[3]) % 2 == 0
 
@@ -79,6 +87,6 @@ def test_tableau_roundtrip():
 
 def test_raw_operators_extend_to_negative_coordinates():
     b = (0, 0, 0, 0, 0, 0)
-    assert g2.f1(b) is None
+    assert af.apply_op("f", 1, b, af.NONNEG) is None
     assert g2.f1_raw(b) == (-1, 1, 0, 0, 0, 0)
     assert g2.e1_raw(g2.f1_raw(b)) == b

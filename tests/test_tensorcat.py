@@ -301,6 +301,17 @@ def test_check_P1_matches_oracle(l):
     assert got["walk_steps"] > 0
 
 
+@pytest.mark.parametrize("l,steps", [(1, 80), (2, 676), (3, 3176),
+                                     (4, 10962)])
+def test_check_P1_counts_the_steps_of_the_element_walks(l, steps):
+    # P1 walks on index pairs; the element-pair walks take the same steps
+    table = tc.level_crystal(l)
+    el = table.elements
+    walks = sum(len(tc.connect_to_vacuum(l, (el[a], el[b])))
+                for a, b in tc.highest_pairs(table))
+    assert pf.check_P1(l)["walk_steps"] == walks == steps
+
+
 @pytest.mark.parametrize("l", [1, 2, 3])
 def test_check_P1_fails_on_a_wrong_tensor_rule(monkeypatch, l):
     def tensor_f_ge(table, i, a, b):
