@@ -8,7 +8,6 @@ applying f0^p, then f1^q, then f0^r, subject to condition (C):
 0 <= p <= j0, p <= q <= j1 + p, 0 <= r <= j0 + q - 2p.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 
 from . import affine as af
@@ -87,10 +86,6 @@ def a2_raise(t):
     return (t.j1 - t.q + t.p, t.j0 + t.j1 - t.q, t.j0 + t.q - 2 * t.p - t.r)
 
 
-def a2_lowest(j0, j1):
-    return A2Tab(j0, j1, j0, j0 + j1, j1)
-
-
 # ---------------------------------------------------------------------------
 # distinguished {0,1}-highest representatives in B_l
 
@@ -155,54 +150,37 @@ class DecompositionError(AssertionError):
 
 
 def decompose(l):
-    """Match the {0,1}-components of B_l with the index set, verifying that
-    each component is isomorphic to the corresponding A2 crystal.  B_l is
-    read from its cached LevelTable only.
+    """The {0,1}-decomposition of B_l, read from its cached LevelTable only.
+    For each index triple (i, j0, j1), B(j0,j1) maps into B_l by
+    t(p,q,r) -> f0^r f1^q f0^p bbar(l,i,j0,j1), defined and injective, and
+    eps, phi and the e0, f0, e1, f1 arrows transfer along the map.
+
+    That decides the partition.  Each image is f-connected from bbar and,
+    by the arrow transfer, closed under e0, f0, e1 and f1, so it is exactly
+    one {0,1}-component; by the eps transfer bbar is its only
+    {0,1}-highest element.  Images that are pairwise disjoint and cover B_l
+    are then all the components, one per index triple.
 
     Returns a list of dicts {i, j0, j1, size, highest} sorted by index.
     """
     table = tc.level_crystal(l)
-    eps0, eps1 = table.eps[0], table.eps[1]
-    comps = tc.connected_components(table, colors=(0, 1))
-    expected = component_indices(l)
-    by_highest = {}
-    for (i, j0, j1) in expected:
-        key = bbar(l, i, j0, j1)
-        by_highest.setdefault(key, []).append((i, j0, j1))
-
+    owner = {}
     result = []
-    used = Counter()
-    for comp in comps:
-        members = [table.index[b] for b in comp]
-        highest = [a for a in members if eps0[a] == 0 and eps1[a] == 0]
-        if len(highest) != 1:
-            raise DecompositionError(
-                f"component of size {len(comp)} has {len(highest)} {{0,1}}-highest elements"
-            )
-        h = table.elements[highest[0]]
-        cands = by_highest.get(h)
-        if not cands:
-            raise DecompositionError(f"no index triple for highest element {h}")
-        idx = cands[used[h]] if used[h] < len(cands) else None
-        if idx is None:
-            raise DecompositionError(f"highest element {h} matched more components than indices")
-        used[h] += 1
-        i, j0, j1 = idx
-        if len(comp) != a2_dim(j0, j1):
-            raise DecompositionError(
-                f"component ({l},{i},{j0},{j1}) has size {len(comp)}, "
-                f"expected {a2_dim(j0, j1)}"
-            )
+    for (i, j0, j1) in component_indices(l):
         image = _component_image(table, l, i, j0, j1)
-        if not set(image.values()) <= set(members):
-            raise DecompositionError(
-                f"({l},{i},{j0},{j1}): image not in the component")
         _check_transfer(table, l, i, j0, j1, image)
-        result.append({"i": i, "j0": j0, "j1": j1, "size": len(comp), "highest": h})
-
-    if sum(used.values()) != len(expected):
-        raise DecompositionError("component count does not match the index set")
-    result.sort(key=lambda d: (d["i"], d["j0"], d["j1"]))
+        name = f"({l},{i},{j0},{j1})"
+        for a in image.values():
+            if a in owner:
+                raise DecompositionError(
+                    f"{name} and {owner[a]} share {table.elements[a]}")
+            owner[a] = name
+        result.append({"i": i, "j0": j0, "j1": j1, "size": len(image),
+                       "highest": bbar(l, i, j0, j1)})
+    if len(owner) != len(table.elements):
+        raise DecompositionError(
+            f"the components of B_{l} cover {len(owner)} of its "
+            f"{len(table.elements)} elements")
     return result
 
 
@@ -421,32 +399,6 @@ def table_d(l, i, j0, j1, p, q):
                         2 * y0 - y1 - j1 + i - p + q, y1 - j1 + i - p + q, y1,
                         j1 + p - q))
     return out
-
-
-def appendix_formula(table, l, i, j0, j1, p=None, q=None, r=None):
-    """Evaluate the closed form for the requested table; all overlapping
-    cases must agree.  Raises ValueError when no case matches."""
-    if table == "A":
-        forms = table_a(l, i, j0, j1, p, q)
-    elif table == "B":
-        if j0 != i:
-            raise ValueError("table B requires j0 = i")
-        forms = table_b(l, i, j1, p, q, r)
-    elif table == "C":
-        if p not in (None, j0):
-            raise ValueError("table C requires p = j0")
-        forms = table_c(l, i, j0, j1, q, r)
-    elif table == "D":
-        if r not in (None, j0 + q - 2 * p):
-            raise ValueError("table D requires r = j0 + q - 2p")
-        forms = table_d(l, i, j0, j1, p, q)
-    else:
-        raise ValueError(f"unknown table {table!r}")
-    if not forms:
-        raise ValueError(f"no case of table {table} matches the parameters")
-    if any(x != forms[0] for x in forms):
-        raise AssertionError(f"overlapping cases of table {table} disagree: {forms}")
-    return forms[0]
 
 
 def verify_lemmas(l_max):

@@ -1,10 +1,8 @@
 """B_l as one indexed table, the tensor rule on index pairs of
-B_l (x) B_l and its {1,2}-highest pairs, union-find components of B_l
-(Tarjan, J. ACM 1975), the deterministic walk joining any element of
-B_l (x) B_l to phi (x) phi, and graph export.
+B_l (x) B_l and its {1,2}-highest pairs, the deterministic walk joining
+any element of B_l (x) B_l to phi (x) phi, and graph export.
 """
 
-from array import array
 from collections import namedtuple
 from functools import lru_cache
 from types import MappingProxyType
@@ -88,39 +86,6 @@ def highest_pairs(table):
 
 
 # ---------------------------------------------------------------------------
-# connected components
-
-
-def _root(parent, v):
-    while parent[v] != v:
-        parent[v] = v = parent[parent[v]]
-    return v
-
-
-def union_find(n, arrows):
-    """Union-find over the vertices 0..n-1 joined along the (u, v) arrows.
-    Returns the parent array; every root is the smallest vertex of its
-    component."""
-    parent = array("l", range(n))
-    for u, v in arrows:
-        u, v = _root(parent, u), _root(parent, v)
-        if u != v:
-            parent[max(u, v)] = min(u, v)
-    return parent
-
-
-def connected_components(table, colors=COLORS):
-    """Partition of B_l under the arrows of the given colors: sorted lists
-    of elements, ordered by their smallest element."""
-    parent = union_find(len(table.elements), (
-        (a, t) for i in colors for a, t in enumerate(table.f[i]) if t >= 0))
-    comps = {}
-    for a, b in enumerate(table.elements):
-        comps.setdefault(_root(parent, a), []).append(b)
-    return list(comps.values())
-
-
-# ---------------------------------------------------------------------------
 # the deterministic walk to phi (x) phi in B_l (x) B_l
 
 
@@ -129,6 +94,7 @@ def vacuum_walk(table, l, cur):
     index pair cur of the B_l table to (phi, phi) in B_l (x) B_l.  Raises
     RuntimeError if the walk fails to terminate within 200 (l+1)^2 steps."""
     el = table.elements
+    budget = 200 * (l + 1) ** 2
     steps = []
 
     def pairs(cur):
@@ -141,11 +107,12 @@ def vacuum_walk(table, l, cur):
         return cur
 
     def saturate(cur):
-        nxt = cur
-        while nxt is not None:
-            cur = nxt
+        for _ in range(budget + 1):
             nxt = lower(1, cur) or lower(2, cur)
-        return cur
+            if nxt is None:
+                return cur
+            cur = nxt
+        raise RuntimeError("walk exceeded the step budget")
 
     cur = saturate(cur)
     # now the right factor is a string of barred ones
@@ -171,7 +138,7 @@ def vacuum_walk(table, l, cur):
             raise RuntimeError("final 0-steps ended early")
     if pairs(cur) != (PHI, PHI):
         raise RuntimeError(f"walk ended at {pairs(cur)}, not the vacuum")
-    if len(steps) > 200 * (l + 1) ** 2:
+    if len(steps) > budget:
         raise RuntimeError("walk exceeded the step budget")
     return steps
 

@@ -8,6 +8,36 @@ from d43crystal import affine as af
 from d43crystal import tensorcat as tc
 
 
+def a2_lowest(j0, j1):
+    return a2.A2Tab(j0, j1, j0, j0 + j1, j1)
+
+
+def appendix_formula(table, l, i, j0, j1, p=None, q=None, r=None):
+    """Evaluate the closed form for the requested table; all overlapping
+    cases must agree.  Raises ValueError when no case matches."""
+    if table == "A":
+        forms = a2.table_a(l, i, j0, j1, p, q)
+    elif table == "B":
+        if j0 != i:
+            raise ValueError("table B requires j0 = i")
+        forms = a2.table_b(l, i, j1, p, q, r)
+    elif table == "C":
+        if p not in (None, j0):
+            raise ValueError("table C requires p = j0")
+        forms = a2.table_c(l, i, j0, j1, q, r)
+    elif table == "D":
+        if r not in (None, j0 + q - 2 * p):
+            raise ValueError("table D requires r = j0 + q - 2p")
+        forms = a2.table_d(l, i, j0, j1, p, q)
+    else:
+        raise ValueError(f"unknown table {table!r}")
+    if not forms:
+        raise ValueError(f"no case of table {table} matches the parameters")
+    if any(x != forms[0] for x in forms):
+        raise AssertionError(f"overlapping cases of table {table} disagree: {forms}")
+    return forms[0]
+
+
 @pytest.mark.parametrize("j0,j1", [(j0, j1) for j0 in range(9) for j1 in range(9)])
 def test_a2_size_formula(j0, j1):
     assert len(a2.a2_elements(j0, j1)) == a2.a2_dim(j0, j1)
@@ -46,7 +76,7 @@ def test_a2_examples():
     top = a2.A2Tab(2, 3, 0, 0, 0)
     assert a2.a2_e0(top) is None and a2.a2_e1(top) is None
     assert a2.a2_eps_phi(top) == (0, 0, 2, 3)
-    low = a2.a2_lowest(2, 3)
+    low = a2_lowest(2, 3)
     assert a2.a2_f0(low) is None and a2.a2_f1(low) is None
     assert a2.a2_eps_phi(low) == (3, 2, 0, 0)
     assert a2.a2_eps_phi(a2.A2Tab(2, 2, 1, 2, 0))[1] == 2
@@ -54,7 +84,7 @@ def test_a2_examples():
 
 @pytest.mark.parametrize("j0,j1", [(1, 1), (2, 2), (2, 3), (3, 1)])
 def test_a2_raise_from_lowest(j0, j1):
-    low = a2.a2_lowest(j0, j1)
+    low = a2_lowest(j0, j1)
     for t in a2.a2_elements(j0, j1):
         pp, qq, rr = a2.a2_raise(t)
         cur = low
@@ -65,7 +95,7 @@ def test_a2_raise_from_lowest(j0, j1):
         for _ in range(rr):
             cur = a2.a2_e0(cur)
         assert cur == t
-    assert a2.a2_raise(a2.a2_lowest(j0, j1)) == (0, 0, 0)
+    assert a2.a2_raise(a2_lowest(j0, j1)) == (0, 0, 0)
     assert a2.a2_raise(a2.A2Tab(j0, j1, 0, 0, 0)) == (j1, j0 + j1, j0)
 
 
@@ -117,19 +147,32 @@ def test_decompose_level_3_total():
     assert sum(r["size"] for r in rows) == 112
 
 
+@pytest.mark.parametrize("change,word", [(lambda idx: idx[1:], "cover"),
+                                         (lambda idx: idx + idx[-1:], "share")],
+                         ids=["drop", "repeat"])
+def test_decompose_needs_disjoint_images_that_cover(monkeypatch, change, word):
+    # one index triple dropped leaves its component uncovered; one repeated
+    # maps B(j0, j1) onto the same component twice
+    l = 3
+    indices = change(a2.component_indices(l))
+    monkeypatch.setattr(a2, "component_indices", lambda level: indices)
+    with pytest.raises(a2.DecompositionError, match=word):
+        a2.decompose(l)
+
+
 def test_appendix_formula_dispatch():
-    assert a2.appendix_formula("A", 3, 0, 3, 3, p=0, q=0) == (0, 0, 0, 0, 3, 0)
+    assert appendix_formula("A", 3, 0, 3, 3, p=0, q=0) == (0, 0, 0, 0, 3, 0)
     # table C at q = r = 0 equals f0^{j0} applied to the base point
     want = a2.lower_pqr(a2.bbar(3, 0, 3, 3), 3, 0, 0)
-    assert a2.appendix_formula("C", 3, 0, 3, 3, q=0, r=0) == want
+    assert appendix_formula("C", 3, 0, 3, 3, q=0, r=0) == want
     # table D boundary r = j0 + q - 2p = 0 against iterated lowering
-    got = a2.appendix_formula("D", 2, 1, 1, 1, p=1, q=1)
+    got = appendix_formula("D", 2, 1, 1, 1, p=1, q=1)
     want = a2.lower_pqr(a2.bbar(2, 1, 1, 1), 1, 1, 0)
     assert got == want
     with pytest.raises(ValueError):
-        a2.appendix_formula("A", 3, 0, 3, 3, p=9, q=0)
+        appendix_formula("A", 3, 0, 3, 3, p=9, q=0)
     with pytest.raises(ValueError):
-        a2.appendix_formula("E", 3, 0, 3, 3, p=0, q=0)
+        appendix_formula("E", 3, 0, 3, 3, p=0, q=0)
 
 
 def test_mutated_formula_is_detected():

@@ -1,6 +1,6 @@
 """The indexed table of B_l, the tensor rule on index pairs and its
-{1,2}-highest pairs, union-find components, P1 by vacuum walks and graph
-export.
+{1,2}-highest pairs, the {0,1}-components of B_l, P1 by vacuum walks and
+graph export.
 
 The closure-based crystals, the tuple-pair tensor rule and the BFS that
 the table replaced are kept below, renamed oracle_*, as the reference."""
@@ -9,6 +9,7 @@ from collections import deque
 
 import pytest
 
+from d43crystal import a2branch as a2
 from d43crystal import affine as af
 from d43crystal import perfectness as pf
 from d43crystal import tensorcat as tc
@@ -128,10 +129,6 @@ def _oracle_tensor(l):
     return c, oracle_tensor_crystal(c, c)
 
 
-def _partition(comps):
-    return {frozenset(comp) for comp in comps}
-
-
 # ---------------------------------------------------------------------------
 # the tensor rule, on the oracle
 
@@ -239,34 +236,19 @@ def test_table_satisfies_the_crystal_axioms(l):
 
 
 # ---------------------------------------------------------------------------
-# components of B_l: union-find against the BFS
-
-
-def test_level_crystal_component_count_colors_01():
-    c = tc.level_crystal(2)
-    comps = tc.connected_components(c, colors=(0, 1))
-    assert sorted(len(x) for x in comps) == [8, 27]
+# {0,1}-components of B_l: the decomposition against the BFS
 
 
 @pytest.mark.parametrize("l", range(1, 6))
-def test_components_match_bfs(l):
-    got = tc.connected_components(tc.level_crystal(l), colors=(0, 1))
-    want = oracle_connected_components(oracle_level_crystal(l), colors=(0, 1))
-    assert _partition(got) == _partition(want)
-    # each component is a sorted list, the components ordered by their
-    # smallest element
-    assert all(comp == sorted(comp) for comp in got)
-    assert [comp[0] for comp in got] == sorted(comp[0] for comp in got)
-
-
-def test_components_without_0_arrows():
-    l = 2
-    table = tc.level_crystal(l)
-    cut = table._replace(f=((-1,) * len(table.elements),) + table.f[1:])
-    got = tc.connected_components(cut)
-    assert len(got) > 1
-    want = oracle_connected_components(oracle_level_crystal(l), colors=(1, 2))
-    assert _partition(got) == _partition(want)
+def test_decompose_rows_are_the_bfs_components(l):
+    c = oracle_level_crystal(l)
+    want = []
+    for comp in oracle_connected_components(c, colors=(0, 1)):
+        highest = [b for b in comp if c.eps(0, b) == c.eps(1, b) == 0]
+        assert len(highest) == 1
+        want.append((len(comp), highest[0]))
+    got = [(row["size"], row["highest"]) for row in a2.decompose(l)]
+    assert sorted(got) == sorted(want)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +309,18 @@ def test_check_P1_fails_on_a_wrong_tensor_rule(monkeypatch, l):
     assert got["status"] == "fail"
     assert got["reason"] == "vacuum walk"
     assert "components" not in got
+
+
+def test_check_P1_fails_on_a_cycling_tensor_rule(monkeypatch):
+    # f_1 that returns its own pair never ends the saturation: the walk
+    # must stop at its step budget instead of running forever
+    orig = tc.tensor_f
+    monkeypatch.setattr(tc, "tensor_f", lambda table, i, a, b:
+                        (a, b) if i == 1 else orig(table, i, a, b))
+    got = pf.check_P1(1)
+    assert got["status"] == "fail"
+    assert got["reason"] == "vacuum walk"
+    assert got["error"] == "walk exceeded the step budget"
 
 
 def _without_color_0(table):

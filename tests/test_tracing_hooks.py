@@ -78,4 +78,4 @@ def test_tracer_records_the_crystal_spans():
     level_calls, names = _traced(TRACED_CRYSTAL).stdout.splitlines()
     assert int(level_calls) > 0
     assert {"perfectness.P1", "tensorcat.vacuum_walk",
-            "tensorcat.components"} <= set(names.split())
+            "a2branch.decompose"} <= set(names.split())
