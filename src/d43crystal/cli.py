@@ -144,7 +144,9 @@ def _verify_rmatrix(args):
     checks["polarization"] = fr.check_polarization(rep, gram)
     checks["lowering_identities"] = all(
         fr.verify_lowering_identities(rep).values())
+    checks["highest_vectors"] = fr.verify_highest(rep)
     comps = rm.build_components(rep)
+    checks["iota"] = rm.verify_iota(rep, comps)
     R = rm.build_R(rep, comps)
     checks["intertwiner"] = all(rm.verify_intertwiner(R, rep).values())
     checks["vacuum_eigenvalue"] = rm.vacuum_eigenvalue(R) == rm.a_2L1()
@@ -202,7 +204,7 @@ def cmd_verify(args):
     runner = suites[args.suite]
     try:
         checks = runner(args)
-    except AssertionError as exc:
+    except (AssertionError, ArithmeticError) as exc:
         _print_json({"schema": SCHEMA, "suite": args.suite,
                      "status": "fail", "error": str(exc)})
         return 1

@@ -20,12 +20,13 @@ raises as soon as a quotient coefficient is not an integer.  QRat keeps
 every value as a reduced fraction of two such polynomials; the product,
 sum or difference of two values with denominator 1 needs no gcd.
 
-integer_images decides a matrix identity over Q(q) without QRat
-arithmetic: each matrix is cleared by one common denominator D in Z[q],
-and every coefficient is evaluated at q = 2^w.  With N the largest total
-coefficient 1-norm of a cleared matrix and k factors in the longest
-product, w = (2 N^k).bit_length() + 1 keeps every coefficient of the
-difference of the two sides below 2^(w-1) in absolute value, where
+clear_denominators scales QRats by the lcm D of their denominators, so
+sums of products run over Z[q] with no gcd.  integer_images decides a
+matrix identity over Q(q) without QRat arithmetic: each matrix is cleared
+that way, and every coefficient is evaluated at q = 2^w.  With N the
+largest total coefficient 1-norm of a cleared matrix and k factors in the
+longest product, w = (2 N^k).bit_length() + 1 keeps every coefficient of
+the difference of the two sides below 2^(w-1) in absolute value, where
 evaluation at 2^w is injective, so == on the integer images is exact.
 All arithmetic is exact; no floating point appears anywhere in this
 package.
@@ -34,6 +35,7 @@ package.
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd as int_gcd
+from operator import add
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +461,7 @@ class Laurent:
         t = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 p = c1 * c2
                 acc = t.get(e)
                 s = p if acc is None else acc + p
@@ -618,11 +620,15 @@ def lincomb(terms):
 # deciding matrix identities over Z
 
 
-def _p_lcm(a, b):
-    """lcm in Z[q] of two polynomials with positive leading coefficients:
-    the gcd is the primitive gcd times the gcd of the contents."""
-    g = p_mul(p_gcd(a, b), (int_gcd(p_content(a), p_content(b)),))
-    return p_mul(p_divexact(a, g), b)
+def clear_denominators(coeffs):
+    """D, the lcm in Z[q] of the denominators of the QRats coeffs, and
+    {c: c * D} over Z.  gcd(D, d) is the primitive gcd times the gcd of the
+    contents, since both have positive leading coefficients."""
+    den = P_ONE
+    for d in {c.den for c in coeffs}:
+        g = p_mul(p_gcd(den, d), (int_gcd(p_content(den), p_content(d)),))
+        den = p_mul(p_divexact(den, g), d)
+    return den, {c: p_mul(c.num, p_divexact(den, c.den)) for c in coeffs}
 
 
 def integer_images(groups, k):
@@ -661,12 +667,9 @@ def integer_images(groups, k):
 
     cleared, norm = [], 0
     for group in groups:
-        coeffs = {c for m in group for col in m for v in col.values()
-                  for _, c in terms(v)}
-        den = P_ONE
-        for d in {c.den for c in coeffs}:
-            den = _p_lcm(den, d)
-        polys = {c: p_mul(c.num, p_divexact(den, c.den)) for c in coeffs}
+        _, polys = clear_denominators(
+            {c for m in group for col in m for v in col.values()
+             for _, c in terms(v)})
         cleared.append(polys)
         size = {c: sum(map(abs, p)) for c, p in polys.items()}
         for m in group:

@@ -5,15 +5,17 @@ frame, the coefficient matrices, and the verification suite
 The 64 tensor basis vectors v_a (x) v_b are indexed by 8*a + b, and every
 vector and matrix on the tensor square is in fundrep's sparse column
 format.  R entries are Laurent polynomials in (x, y) that only involve the
-ratio z = x/y.
+ratio z = x/y.  R = B . A(z) . B^-1 is summed over Z[q], with each of its
+coefficients reduced once.
 """
 
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
 from .exactalg import (
-    Echelon, Laurent, QR_ZERO, QR_ONE, integer_images, lp2_poly_z, q_power,
-    sparse_mul,
+    P_ZERO, Echelon, Laurent, QRat, QR_ZERO, QR_ONE, clear_denominators,
+    integer_images, lp2_poly_z, p_add, p_mul, q_power, sparse_mul,
 )
 from . import fundrep as fr
 
@@ -123,13 +125,16 @@ def component_coords(comps):
     return inv
 
 
+def _starts(comps):
+    """label -> the frame coordinate of the component's first vector."""
+    return dict(zip(fr.HW_ORDER, accumulate(
+        (len(comps[label]) for label in fr.HW_ORDER), initial=0)))
+
+
 def _block_cols(comps, table):
     """Sparse columns of the map on frame coordinates that sends position p
     of component src to position p of component dst, times table[src, dst]."""
-    start, offset = {}, 0
-    for label in fr.HW_ORDER:
-        start[label] = offset
-        offset += len(comps[label])
+    start = _starts(comps)
     cols = [dict() for _ in range(N)]
     for (src, dst), c in table.items():
         for p in range(len(comps[src])):
@@ -137,14 +142,17 @@ def _block_cols(comps, table):
     return cols
 
 
-def verify_iota(rep, comps, pairs):
-    """Basis-aligned identification commutes with Delta(f_1), Delta(f_2):
-    T = B . E_{dst<-src} . B^-1 satisfies T f_i = f_i T.  On src this is the
-    word-independence of the iota maps; on every other component both
-    sides vanish."""
+IOTA_PAIRS = (("L1_1", "L1_2"), ("L1_1", "L1_3"), ("0_1", "0_2"))
+
+
+def verify_iota(rep, comps):
+    """Each basis-aligned identification (src, dst) in IOTA_PAIRS commutes
+    with Delta(f_1), Delta(f_2): T = B . E_{dst<-src} . B^-1 satisfies
+    T f_i = f_i T.  On src this is the word-independence of the iota maps;
+    on every other component both sides vanish."""
     frame, inv = _frame_cols(comps), component_coords(comps)
     lower = [fr.coproduct(rep, "f", i) for i in (1, 2)]
-    for src, dst in pairs:
+    for src, dst in IOTA_PAIRS:
         T = sparse_mul(frame, sparse_mul(
             _block_cols(comps, {(src, dst): QR_ONE}), inv))
         for f in lower:
@@ -255,14 +263,41 @@ def _coefficients():
 
 
 def build_R(rep=None, comps=None):
-    """R = B . A(z) . B^-1 in the component frame."""
-    if rep is None:
-        rep = fr.build_v1()
+    """R = B . A(z) . B^-1 = sum over (src, dst) of a_{src,dst}(z) B_dst
+    B^-1_src, summed over Z[q]: B, the coefficients of A and each column c
+    of B^-1 are cleared by one denominator each (D_B, D_A, D_c), and each
+    coefficient of column c is reduced once, as one QRat over D_A D_B D_c."""
     if comps is None:
         comps = build_components(rep)
-    a_inv = sparse_mul(_block_cols(comps, _coefficients()),
-                       component_coords(comps))
-    return RMatrix(sparse_mul(_frame_cols(comps), a_inv))
+    d_b, b_int = clear_denominators(
+        {c for basis in comps.values() for col in basis for c in col.values()})
+    table = _coefficients()
+    d_a, a_int = clear_denominators(
+        {c for lp in table.values() for c in lp.terms.values()})
+    start = _starts(comps)
+    cols = []
+    for inv_col in component_coords(comps):
+        d_c, c_int = clear_denominators(set(inv_col.values()))
+        acc = {}
+        for (src, dst), lp in table.items():
+            v = {}  # column c of B_dst B^-1_src, cleared
+            for p in range(len(comps[src])):
+                c = inv_col.get(start[src] + p)
+                if c:
+                    for row, b in comps[dst][p].items():
+                        v[row] = p_add(v.get(row, P_ZERO),
+                                       p_mul(b_int[b], c_int[c]))
+            for row, m in v.items():
+                for e, a in lp.terms.items():
+                    acc[row, e] = p_add(acc.get((row, e), P_ZERO),
+                                        p_mul(m, a_int[a]))
+        den = p_mul(p_mul(d_a, d_b), d_c)
+        col = {}
+        for (row, e), num in acc.items():
+            if num:
+                col.setdefault(row, Laurent(2)).terms[e] = QRat(num, den)
+        cols.append(col)
+    return RMatrix(cols)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ import json
 import pytest
 
 from d43crystal import cli
+from d43crystal import fundrep as fr
 from d43crystal import perfectness as pf
+from d43crystal import rmatrix as rm
 from d43crystal import tensorcat as tc
 
 
@@ -189,7 +191,37 @@ def test_verify_rmatrix_one_sample(capsys):
     assert doc["checks"]["yang_baxter_sampled"] is True
     assert doc["checks"]["yang_baxter_samples"] == 1
     assert doc["checks"]["R_Rswap_scalar"] is True
+    assert doc["checks"]["highest_vectors"] is True
+    assert doc["checks"]["iota"] is True
     assert all(doc["checks"].values())
+
+
+@pytest.mark.parametrize("module,stage,message", [
+    (fr, "build_polarization", "invariant form is not unique"),
+    (rm, "vacuum_eigenvalue", "R does not act diagonally on the vacuum"),
+], ids=["polarization", "vacuum"])
+def test_verify_rmatrix_reports_an_arithmetic_error(capsys, monkeypatch,
+                                                    module, stage, message):
+    def fail(*args):
+        raise ArithmeticError(message)
+    monkeypatch.setattr(module, stage, fail)
+    code, out, _ = run_cli(capsys, "verify", "rmatrix", "--samples", "1")
+    assert code == 1
+    assert json.loads(out) == {"schema": cli.SCHEMA, "suite": "rmatrix",
+                               "status": "fail", "error": message}
+
+
+@pytest.mark.parametrize("module,stage,key", [
+    (fr, "verify_highest", "highest_vectors"), (rm, "verify_iota", "iota"),
+], ids=["highest_vectors", "iota"])
+def test_verify_rmatrix_fails_on_a_false_check(capsys, monkeypatch, module,
+                                               stage, key):
+    monkeypatch.setattr(module, stage, lambda *args: False)
+    code, out, _ = run_cli(capsys, "verify", "rmatrix", "--samples", "1")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "fail"
+    assert doc["checks"][key] is False
 
 
 @pytest.mark.parametrize("argv,option", [

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from d43crystal import exactalg
 from d43crystal import rmatrix as rm
 from d43crystal import fundrep as fr
 from d43crystal.exactalg import (
@@ -63,36 +64,33 @@ def test_projections_resolve_identity(comps):
         {n: QR_ONE} for n in range(rm.N)]
 
 
-IOTA_PAIRS = [("L1_1", "L1_2"), ("L1_1", "L1_3"), ("0_1", "0_2")]
-
-
 def test_iota_well_defined(rep, comps):
-    assert rm.verify_iota(rep, comps, IOTA_PAIRS)
+    assert rm.verify_iota(rep, comps)
     # L1_3 with two basis vectors swapped: the identification is no longer
     # basis-aligned
     permuted = dict(comps)
     b = list(comps["L1_3"])
     b[1], b[2] = b[2], b[1]
     permuted["L1_3"] = b
-    assert not rm.verify_iota(rep, permuted, IOTA_PAIRS)
+    assert not rm.verify_iota(rep, permuted)
     # one L1_2 basis vector times q: no longer a module map.  (Scaling the
     # whole basis by q would still be one.)
     rescaled = dict(comps)
     b = list(comps["L1_2"])
     b[1] = {k: c * q_power(1) for k, c in b[1].items()}
     rescaled["L1_2"] = b
-    assert not rm.verify_iota(rep, rescaled, IOTA_PAIRS)
+    assert not rm.verify_iota(rep, rescaled)
     # L1_2 vectors 2, 3 and 4 times q: this still commutes with f_1, and
     # only f_2 sees it
     b = list(comps["L1_2"])
     for j in (2, 3, 4):
         b[j] = {k: c * q_power(1) for k, c in b[j].items()}
     rescaled["L1_2"] = b
-    assert not rm.verify_iota(rep, rescaled, IOTA_PAIRS)
+    assert not rm.verify_iota(rep, rescaled)
     whole = dict(comps)
     whole["L1_2"] = [{k: c * q_power(1) for k, c in col.items()}
                      for col in comps["L1_2"]]
-    assert rm.verify_iota(rep, whole, IOTA_PAIRS)
+    assert rm.verify_iota(rep, whole)
 
 
 def test_vacuum_eigenvalue_is_a2L1(R):
@@ -294,6 +292,48 @@ def test_build_R_matches_projection_oracle(rep, comps, R):
     want = oracle_build_R(rep, comps)
     assert R.cols == want.cols
     assert sum(map(len, R.cols)) == 342
+
+
+def oracle_frame_build_R(comps):
+    """The earlier QRat assembly of R = B . A(z) . B^-1 in the frame."""
+    a_inv = rm.sparse_mul(rm._block_cols(comps, rm._coefficients()),
+                          rm.component_coords(comps))
+    return RMatrix(rm.sparse_mul(rm._frame_cols(comps), a_inv))
+
+
+def test_build_R_matches_the_frame_oracle(comps, R):
+    want = oracle_frame_build_R(comps)
+    assert len(R.cols) == len(want.cols) == N
+    for k, (got, exp) in enumerate(zip(R.cols, want.cols)):
+        assert got.keys() == exp.keys(), k
+        for row, lp in got.items():
+            assert type(lp) is Laurent and lp.arity == 2
+            assert lp.terms.keys() == exp[row].terms.keys(), (k, row)
+            for e, c in lp.terms.items():
+                w = exp[row].terms[e]
+                assert type(c) is QRat
+                assert (c.num, c.den) == (w.num, w.den), (k, row, e)
+
+
+def test_build_R_reduces_each_coefficient_once(comps, monkeypatch):
+    """With B^-1 and A(z) given, build_R runs p_gcd once per lcm step of
+    its clearing denominators and once per coefficient of R, and never
+    while it sums."""
+    coords, table = rm.component_coords(comps), rm._coefficients()
+    monkeypatch.setattr(rm, "component_coords", lambda _: coords)
+    monkeypatch.setattr(rm, "_coefficients", lambda: table)
+    calls = []
+    gcd = exactalg.p_gcd
+    monkeypatch.setattr(exactalg, "p_gcd",
+                        lambda a, b: calls.append(1) or gcd(a, b))
+    R = rm.build_R(comps=comps)
+    frame = rm._frame_cols(comps)
+    lcm_steps = sum(len({c.den for c in group}) for group in (
+        [c for col in frame for c in col.values()],
+        [c for lp in table.values() for c in lp.terms.values()],
+        *(list(col.values()) for col in coords)))
+    terms = sum(len(lp.terms) for col in R.cols for lp in col.values())
+    assert len(calls) == lcm_steps + terms
 
 
 def test_component_coords_match_the_oracle(comps):
