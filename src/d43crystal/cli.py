@@ -95,15 +95,20 @@ def cmd_tensor(args):
 
 def cmd_check_perfect(args):
     report = pf.perfectness_report(args.level)
+    p1 = report["P1"]
     payload = {
         "schema": SCHEMA,
         "level": args.level,
-        "P1": report["P1"]["status"],
+        "P1": p1["status"],
         "P2": report["P2"]["status"],
         "P3": report["P3"]["status"],
         "P4": report["P4"]["status"],
         "P5": report["P5"]["status"],
         "minimal": [list(b) for b in report["minimal"]],
+        # what P1 checked; null when it was skipped or failed
+        "P1_method": p1.get("method"),
+        "P1_highest_pairs": p1.get("highest_pairs"),
+        "P1_walk_steps": p1.get("walk_steps"),
     }
     _print_json(payload)
     ok = all(payload[k] in ("pass", "skipped") for k in
@@ -146,8 +151,9 @@ def _verify_rmatrix(args):
         fr.verify_lowering_identities(rep).values())
     checks["highest_vectors"] = fr.verify_highest(rep)
     comps = rm.build_components(rep)
-    checks["iota"] = rm.verify_iota(rep, comps)
-    R = rm.build_R(rep, comps)
+    inv = rm.component_coords(comps)
+    checks["iota"] = rm.verify_iota(rep, comps, inv)
+    R = rm.build_R(rep, comps, inv)
     checks["intertwiner"] = all(rm.verify_intertwiner(R, rep).values())
     checks["vacuum_eigenvalue"] = rm.vacuum_eigenvalue(R) == rm.a_2L1()
     checks["phi_nonvanishing"] = rm.phi_nonvanishing()
@@ -185,6 +191,7 @@ def _verify_coherent(args):
         "cover_points_checked": cover.get("checked", 0),
         "totality": totality["status"] == "pass",
         "totality_checked": totality.get("checked", 0),
+        "totality_method": totality.get("method"),
     }
 
 

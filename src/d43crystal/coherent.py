@@ -2,11 +2,29 @@
 from the shifted finite-level crystals that exhibit {B_l} as a coherent
 family.  The limit crystal is B_l's operators and statistics in the FREE
 level context.
+
+Totality on the whole limit crystal (verify_totality) is a proof over
+every parity-admissible b in Z^6, not a sample.  Each raw operator is
+piecewise a translation: its cases are cells, sets of integer linear
+inequalities in z = af.zvec(b), and on a cell it adds a fixed update db
+to b.  The cells of an operator come from an if/elif/else chain (colors 1
+and 2) or from the first or last argmax of af.alist (color 0), so every z
+lies in one of them; the procedure of plcells checks that no z lies in
+two.  If every update keeps x3 = x3b mod 2, the FREE context admits every
+image, so no operator dies.  Then e(f(b)) = b + db + db', where db is the
+update of f's cell at z and db' that of e's cell at z + dz, dz =
+zvec(db); it is b unless db' != -db, and every such pair of cells is a
+system that plcells shows has no integer point.  The same holds for
+f(e(b)).  Only a derived contradiction counts: a system left undecided
+sends the check back to the box, totality_box, which is also the test
+oracle for the cells.
 """
 
-from itertools import product
+from itertools import combinations, product
+from operator import add, sub
 
 from . import affine as af
+from . import plcells as pc
 from . import tensorcat as tc
 from .g2crystal import gsum
 from .perfectness import minimal_elements, eps_weight, phi_weight
@@ -126,7 +144,108 @@ def verify_limit_point():
     return {"status": "pass" if ok else "fail"}
 
 
+def _z_point(z):
+    """A parity-admissible b with zvec(b) = z."""
+    z1, z2, z3, z4 = z
+    return (0, -z3, 0, 2 * z4, z2 + 2 * z4, z1)
+
+
+def alist_forms():
+    """The six entries of af.alist as affine forms (coefficients, constant)
+    in z, read off alist at the origin and the four unit vectors of z."""
+    origin = af.alist(_z_point((0, 0, 0, 0)))
+    units = [af.alist(_z_point(e))
+             for e in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
+    return tuple((tuple(u[j] - c for u in units), c)
+                 for j, c in enumerate(origin))
+
+
+# The cases of e_1, f_1, e_2, f_2 (g2crystal.*_raw) as (db, rows) in z; the
+# operators read z2 = x2b - x3b, z3 = x3 - x2 and z4 = (x3b - x3) / 2.
+_Z2, _Z3, _Z4, _Z23 = (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 1, 1, 0)
+_G2_CELLS = {
+    # z2 >= pos(-z3), i.e. z2 >= 0 and z2 + z3 >= 0 | z2 < 0 <= z3 | else,
+    # which is z3 < 0 (else z2 >= 0 by the second case) and z2 + z3 < 0
+    ("e", 1): (((0, 0, 0, 0, 1, -1), (pc.ge(_Z2, 0), pc.ge(_Z23, 0))),
+               ((0, 0, 1, -1, 0, 0), (pc.le(_Z2, -1), pc.ge(_Z3, 0))),
+               ((1, -1, 0, 0, 0, 0), (pc.le(_Z3, -1), pc.le(_Z23, -1)))),
+    # pos(z2) <= -z3, i.e. z2 + z3 <= 0 and z3 <= 0 | z2 <= 0 < z3 | else,
+    # split on the sign of z3
+    ("f", 1): (((-1, 1, 0, 0, 0, 0), (pc.le(_Z23, 0), pc.le(_Z3, 0))),
+               ((0, 0, -1, 1, 0, 0), (pc.le(_Z2, 0), pc.ge(_Z3, 1))),
+               ((0, 0, 0, 0, -1, 1), (pc.le(_Z3, 0), pc.ge(_Z23, 1))),
+               ((0, 0, 0, 0, -1, 1), (pc.ge(_Z3, 1), pc.ge(_Z2, 1)))),
+    # x3b >= x3 | else
+    ("e", 2): (((0, 0, 0, 2, -1, 0), (pc.ge(_Z4, 0),)),
+               ((0, 1, -2, 0, 0, 0), (pc.le(_Z4, -1),))),
+    # x3b <= x3 | else
+    ("f", 2): (((0, -1, 2, 0, 0, 0), (pc.le(_Z4, 0),)),
+               ((0, 0, 0, -2, 1, 0), (pc.ge(_Z4, 1),))),
+}
+
+
+def operator_cells(kind, i):
+    """The cases of the raw operator (kind, i) as (db, rows): at every b
+    whose z = zvec(b) satisfies the rows, the operator adds db to b.  The
+    color-0 cells are read from alist_forms and the case updates of
+    affine: f takes case c at the first argmax c of alist, e at the last."""
+    if i:
+        return _G2_CELLS[kind, i]
+    apply_case = af._apply_f_case if kind == "f" else af._apply_e_case
+    forms = alist_forms()
+    cells = []
+    for c, (ac, cc) in enumerate(forms):
+        rows = []
+        for j, (aj, cj) in enumerate(forms):
+            if j != c:
+                # alist[j] <= alist[c], strictly before c for f, after for e
+                strict = j < c if kind == "f" else j > c
+                rows.append(pc.le(map(sub, aj, ac), cc - cj - strict))
+        cells.append((apply_case(B_INF, c + 1), tuple(rows)))
+    return tuple(cells)
+
+
+def pair_system(first, second):
+    """The rows of: z lies in cell first and z + dz in cell second, where
+    dz = zvec of first's update."""
+    dz = af.zvec(first[0])
+    return first[1] + tuple(pc.shifted(row, dz) for row in second[1])
+
+
+def _totality_systems():
+    """Every system that must have no integer point for the FREE
+    operators to be total and mutually inverse: two cells of one operator
+    that meet, a cell whose update leaves the parity lattice, and, for e.f
+    and f.e, a cell followed by a cell whose update does not undo it."""
+    for i in tc.COLORS:
+        f, e = operator_cells("f", i), operator_cells("e", i)
+        for cells in (f, e):
+            for one, other in combinations(cells, 2):
+                yield one[1] + other[1]
+        for first, second in ((f, e), (e, f)):
+            for cell in first:
+                if (cell[0][2] - cell[0][3]) % 2:
+                    yield cell[1]
+                    continue
+                for then in second:
+                    if any(map(add, cell[0], then[0])):
+                        yield pair_system(cell, then)
+
+
 def verify_totality(radius=3):
+    """Operators never die on the limit crystal and invert each other: a
+    proof over all of it when every system of _totality_systems is shown
+    infeasible ("checked" counts them), else the box check at radius,
+    with the number of systems left undecided."""
+    verdicts = [pc.decide(rows) for rows in _totality_systems()]
+    undecided = verdicts.count(pc.UNDECIDED)
+    if not undecided:
+        return {"status": "pass", "method": "piecewise-linear proof",
+                "checked": len(verdicts)}
+    return {**totality_box(radius), "method": "box", "undecided": undecided}
+
+
+def totality_box(radius):
     """Operators never die on the limit crystal and invert each other, at
     every point of the box and every color; "checked" counts the pairs."""
     op, free = af.apply_op, af.FREE

@@ -145,12 +145,15 @@ def _block_cols(comps, table):
 IOTA_PAIRS = (("L1_1", "L1_2"), ("L1_1", "L1_3"), ("0_1", "0_2"))
 
 
-def verify_iota(rep, comps):
+def verify_iota(rep, comps, inv=None):
     """Each basis-aligned identification (src, dst) in IOTA_PAIRS commutes
     with Delta(f_1), Delta(f_2): T = B . E_{dst<-src} . B^-1 satisfies
     T f_i = f_i T.  On src this is the word-independence of the iota maps;
-    on every other component both sides vanish."""
-    frame, inv = _frame_cols(comps), component_coords(comps)
+    on every other component both sides vanish.  inv is B^-1, from
+    component_coords(comps) when not given."""
+    frame = _frame_cols(comps)
+    if inv is None:
+        inv = component_coords(comps)
     lower = [fr.coproduct(rep, "f", i) for i in (1, 2)]
     for src, dst in IOTA_PAIRS:
         T = sparse_mul(frame, sparse_mul(
@@ -262,13 +265,16 @@ def _coefficients():
     return table
 
 
-def build_R(rep=None, comps=None):
+def build_R(rep=None, comps=None, inv=None):
     """R = B . A(z) . B^-1 = sum over (src, dst) of a_{src,dst}(z) B_dst
     B^-1_src, summed over Z[q]: B, the coefficients of A and each column c
     of B^-1 are cleared by one denominator each (D_B, D_A, D_c), and each
-    coefficient of column c is reduced once, as one QRat over D_A D_B D_c."""
+    coefficient of column c is reduced once, as one QRat over D_A D_B D_c.
+    inv is B^-1, from component_coords(comps) when not given."""
     if comps is None:
         comps = build_components(rep)
+    if inv is None:
+        inv = component_coords(comps)
     d_b, b_int = clear_denominators(
         {c for basis in comps.values() for col in basis for c in col.values()})
     table = _coefficients()
@@ -276,7 +282,7 @@ def build_R(rep=None, comps=None):
         {c for lp in table.values() for c in lp.terms.values()})
     start = _starts(comps)
     cols = []
-    for inv_col in component_coords(comps):
+    for inv_col in inv:
         d_c, c_int = clear_denominators(set(inv_col.values()))
         acc = {}
         for (src, dst), lp in table.items():

@@ -114,6 +114,20 @@ def test_check_perfect(capsys):
     assert doc["P1"] == "pass"
     assert doc["P3"] == "skipped"
     assert [0, 0, 0, 0, 0, 0] in doc["minimal"]
+    assert (doc["P1_method"], doc["P1_highest_pairs"],
+            doc["P1_walk_steps"]) == ("highest-pair walks", 30, 676)
+
+
+def test_check_perfect_failed_P1_reports_no_counts(capsys, monkeypatch):
+    monkeypatch.setattr(pf, "check_P1", lambda l: {
+        "status": "fail", "reason": "crystal axiom", "axiom": "e.f",
+        "color": 0, "element": tc.PHI})
+    code, out, _ = run_cli(capsys, "check", "perfect", "--level", "2")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["P1"] == "fail"
+    assert (doc["P1_method"], doc["P1_highest_pairs"],
+            doc["P1_walk_steps"]) == (None, None, None)
 
 
 def test_check_perfect_level_7_checks_P1(capsys):
@@ -148,7 +162,8 @@ def test_verify_coherent(capsys):
     assert doc["checks"] == {"embeddings": True, "cover": True,
                              "limit_point": True, "embeddings_checked": 3,
                              "cover_points_checked": 405, "totality": True,
-                             "totality_checked": 3 * 405}
+                             "totality_checked": 121,
+                             "totality_method": "piecewise-linear proof"}
 
 
 def test_verify_relations(capsys):
@@ -194,6 +209,15 @@ def test_verify_rmatrix_one_sample(capsys):
     assert doc["checks"]["highest_vectors"] is True
     assert doc["checks"]["iota"] is True
     assert all(doc["checks"].values())
+
+
+def test_verify_rmatrix_inverts_the_frame_once(capsys, monkeypatch):
+    coords, calls = rm.component_coords, []
+    monkeypatch.setattr(rm, "component_coords",
+                        lambda comps: calls.append(1) or coords(comps))
+    code, _, _ = run_cli(capsys, "verify", "rmatrix", "--samples", "1")
+    assert code == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("module,stage,message", [

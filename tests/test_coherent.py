@@ -1,6 +1,7 @@
 """Limit crystal totality and the coherent-family embeddings."""
 
 from itertools import product
+from operator import add, mul
 
 import pytest
 
@@ -15,10 +16,74 @@ def test_limit_point():
 
 
 def test_totality_small():
-    r = ch.verify_totality(radius=2)
+    r = ch.totality_box(radius=2)
     assert r["status"] == "pass"
     # parity-admissible points of [-2, 2]^6 times the three colors
     assert r["checked"] == 3 * 5 ** 4 * (3 ** 2 + 2 ** 2)
+
+
+def test_totality_is_a_proof_without_operator_calls(monkeypatch):
+    def no_free_call(kind, i, b, ctx):
+        raise AssertionError("the proof applies no operator")
+
+    monkeypatch.setattr(af, "apply_op", no_free_call)
+    r = ch.verify_totality(3)
+    # 30 + 9 + 2 pairs of cells that must not meet, 60 + 16 + 4 pairs of
+    # cells that must not follow each other, colors 0, 1, 2
+    assert r == {"status": "pass", "method": "piecewise-linear proof",
+                 "checked": 121}
+
+
+def _cell_index(cells, z):
+    """Indices of the cells whose rows hold at z."""
+    return [k for k, (_, rows) in enumerate(cells)
+            if all(sum(map(mul, a, z)) <= c for a, c in rows)]
+
+
+def test_cells_are_the_free_operators_on_the_box():
+    # every point of [-3, 3]^6 lies in exactly one cell of each raw
+    # operator, and apply_op adds that cell's update there
+    box = list(ch._box(3))
+    assert len(box) == 60025
+    for i in tc.COLORS:
+        for kind in ("e", "f"):
+            cells = ch.operator_cells(kind, i)
+            index = {}
+            for b in box:
+                z = af.zvec(b)
+                if z not in index:
+                    index[z] = _cell_index(cells, z)
+                assert len(index[z]) == 1, (kind, i, b, index[z])
+                db = cells[index[z][0]][0]
+                assert af.apply_op(kind, i, b, af.FREE) == tuple(
+                    map(add, b, db)), (kind, i, b)
+
+
+def test_swapped_f0_updates_fall_back_to_the_box(monkeypatch):
+    apply_case = af._apply_f_case
+    monkeypatch.setattr(af, "_apply_f_case",
+                        lambda b, c: apply_case(b, {2: 3, 3: 2}.get(c, c)))
+    r = ch.verify_totality(1)
+    assert r["method"] == "box"
+    assert r["undecided"] == 8
+    assert (r["status"], r["reason"], r["color"]) == ("fail", "e.f != id", 0)
+
+
+def test_alist_forms_are_read_off_alist(monkeypatch):
+    forms = ch.alist_forms()
+    assert forms == (((0, 0, 0, 0), 0), ((1, 0, 0, 0), 0), ((1, 1, 0, 0), 0),
+                     ((1, 1, 0, 3), 0), ((1, 1, 1, 3), 0), ((2, 1, 1, 3), 0))
+    alist = af.alist
+
+    def changed_a3(b):
+        a = alist(b)
+        return a[:3] + (a[3] + a[0] - a[1] + 1,) + a[4:]
+
+    monkeypatch.setattr(af, "alist", changed_a3)
+    assert ch.alist_forms() == forms[:3] + (((0, 1, 0, 3), 1),) + forms[4:]
+    r = ch.verify_totality(1)
+    assert r["method"] == "box"
+    assert r["undecided"] > 0
 
 
 def test_totality_reports_an_undefined_operator(monkeypatch):
@@ -28,7 +93,7 @@ def test_totality_reports_an_undefined_operator(monkeypatch):
         return None if (kind, i) == ("f", 2) else apply_op(kind, i, b, ctx)
 
     monkeypatch.setattr(af, "apply_op", dies_on_f2)
-    r = ch.verify_totality(radius=1)
+    r = ch.totality_box(radius=1)
     assert r["status"] == "fail"
     assert r["reason"] == "operator undefined"
     assert r["color"] == 2
@@ -48,7 +113,7 @@ def _shifted(op, broken, shift=(0, 0, 0, 0, 0, 1)):
 def test_totality_reports_e_after_f(monkeypatch):
     monkeypatch.setattr(af, "apply_op", _shifted(
         af.apply_op, lambda kind, i, b, ctx: (kind, i) == ("e", 2)))
-    r = ch.verify_totality(radius=1)
+    r = ch.totality_box(radius=1)
     assert r["status"] == "fail"
     assert r["reason"] == "e.f != id"
     assert r["color"] == 2
@@ -63,7 +128,7 @@ def test_totality_reports_f_after_e(monkeypatch):
     assert set(box) - images
     monkeypatch.setattr(af, "apply_op", _shifted(
         op, lambda kind, i, b, ctx: (kind, i) == ("e", 1) and b not in images))
-    r = ch.verify_totality(radius=1)
+    r = ch.totality_box(radius=1)
     assert r["status"] == "fail"
     assert r["reason"] == "f.e != id"
     assert r["color"] == 1
